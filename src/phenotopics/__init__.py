@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .corpus import Corpus, CorpusError, RecordBags, Vocabulary, load_corpus, save_corpus
 from .learning import TrainConfig, TrainedModel, initialize, load_model, m_step, save_model, train
-from .numerics import NewtonConfig, finite_difference_gradient, log_sum_exp, maximize_concave, softmax
+from .numerics import NewtonConfig, log_sum_exp, maximize_concave, softmax
 from .phenotype import (
     PhenotypeDefinition,
     RelatednessGraph,
@@ -27,7 +27,7 @@ from .summarize import (
     summarize_record,
 )
 from .synth import PlantedModel, RecoveryReport, match_phenotypes, recovery_report, sample_corpus
-from .variational import DocPosterior, ModelParams, elbo, infer_document, update_q_nu, update_q_z
+from .variational import DocPosterior, ModelParams, elbo, infer_document
 
 __all__ = [
     "Corpus",
@@ -50,7 +50,6 @@ __all__ = [
     "elbo",
     "export_sankey",
     "extract_phenotypes",
-    "finite_difference_gradient",
     "infer_document",
     "initialize",
     "load_corpus",
@@ -68,6 +67,4 @@ __all__ = [
     "split_by_prevalence",
     "summarize_record",
     "train",
-    "update_q_nu",
-    "update_q_z",
 ]

@@ -46,7 +46,7 @@ from .summarize import (
     coverage_histogram,
     export_sankey,
     save_trajectory_csv,
-    summarize_corpus_record,
+    summarize_record,
 )
 from .synth import get_preset, load_scenario, recovery_report, sample_scenario
 
@@ -74,15 +74,19 @@ def _require(args, *names) -> None:
 
 
 def _default_threads(value) -> int:
-    if value is not None:
-        return max(1, int(value))
-    env = os.environ.get("PHENOTOPICS_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise _CliError(EXIT_ARGS, f"PHENOTOPICS_THREADS must be an integer, got {env!r}")
-    return os.cpu_count() or 1
+    source = "--threads"
+    if value is None:
+        value = os.environ.get("PHENOTOPICS_THREADS")
+        if not value:
+            return os.cpu_count() or 1
+        source = "PHENOTOPICS_THREADS"
+    try:
+        threads = int(value)
+    except (TypeError, ValueError):
+        raise _CliError(EXIT_ARGS, f"{source} must be an integer, got {value!r}")
+    if threads < 1:
+        raise _CliError(EXIT_ARGS, f"{source} must be >= 1, got {threads}")
+    return threads
 
 
 def _write_manifest(out_dir, command, args, outputs, started, extra=None):
@@ -140,7 +144,6 @@ def cmd_train(args) -> int:
             beta_smoothing=args.beta_smoothing,
             noise_scale=args.noise_scale,
             doc_tol=args.doc_tol,
-            doc_max_outer=args.doc_max_outer,
             update_prior=not args.freeze_prior,
         )
     except ValueError as exc:
@@ -164,7 +167,11 @@ def cmd_train(args) -> int:
         args,
         {"model": model_path, "history": history_path},
         started,
-        extra={"converged": model.converged, "em_iterations": len(model.history)},
+        extra={
+            "converged": model.converged,
+            "em_iterations": len(model.history),
+            "nonconverged_records": sum(not post.converged for post in model.doc_posteriors),
+        },
     )
     if not model.converged:
         _log("training hit max_em_iters without meeting em_tol (model still written)")
@@ -245,12 +252,7 @@ def cmd_summarize(args) -> int:
     out = _ensure_out(args.out)
     outputs = {}
     for record_id, segments in by_record.items():
-        try:
-            trajectory = summarize_corpus_record(
-                segments, model, model.vocabularies, top_n=args.top_n
-            )
-        except FingerprintError as exc:
-            raise _CliError(EXIT_INCOMPATIBLE, str(exc))
+        trajectory = summarize_record(segments, model, top_n=args.top_n)
         csv_path = os.path.join(out, f"trajectory_{record_id}.csv")
         sankey_path = os.path.join(out, f"sankey_{record_id}.json")
         save_trajectory_csv(trajectory, csv_path)
@@ -277,19 +279,26 @@ def cmd_eval(args) -> int:
             scenario = load_scenario(args.scenario)
         except (OSError, json.JSONDecodeError, TypeError) as exc:
             raise _CliError(EXIT_IO, f"cannot load scenario: {exc}")
+        except ValueError as exc:
+            raise _CliError(EXIT_ARGS, f"invalid scenario: {exc}")
     else:
         raise _CliError(EXIT_ARGS, "provide --preset or --scenario")
-    k = args.k or scenario.K
-    _log(f"sampling scenario {scenario.name!r} (D={scenario.D}) with seed {args.seed}")
-    corpus, planted = sample_scenario(scenario, seed=args.seed)
+    if args.k is not None and args.k != scenario.K:
+        # recovery matches learned to planted phenotypes one to one
+        raise _CliError(EXIT_ARGS, f"--k {args.k} differs from the scenario's K={scenario.K}")
     try:
         cfg = TrainConfig(
-            K=k, seed=args.seed, max_em_iters=args.max_em_iters, em_tol=args.em_tol
+            K=scenario.K, seed=args.seed, max_em_iters=args.max_em_iters, em_tol=args.em_tol
         )
     except ValueError as exc:
         raise _CliError(EXIT_ARGS, str(exc))
     threads = _default_threads(args.threads)
-    _log(f"training K={k} on {corpus.num_records} sampled records ({threads} threads)")
+    _log(f"sampling scenario {scenario.name!r} (D={scenario.D}) with seed {args.seed}")
+    try:
+        corpus, planted = sample_scenario(scenario, seed=args.seed)
+    except ValueError as exc:
+        raise _CliError(EXIT_ARGS, f"invalid scenario: {exc}")
+    _log(f"training K={cfg.K} on {corpus.num_records} sampled records ({threads} threads)")
     model = train(corpus, cfg, threads=threads)
     report = recovery_report(model, planted, corr_threshold=args.corr_threshold)
 
@@ -372,7 +381,6 @@ def build_parser():
     p.add_argument("--beta-smoothing", type=float, default=1e-8)
     p.add_argument("--noise-scale", type=float, default=1.0)
     p.add_argument("--doc-tol", type=float, default=1e-4)
-    p.add_argument("--doc-max-outer", type=int, default=100)
     p.add_argument("--freeze-prior", action="store_true",
                    help="keep mu0/sigma0 at initialization")
     p.set_defaults(func=cmd_train)
@@ -400,7 +408,8 @@ def build_parser():
     p = sub.add_parser("eval", parents=[common], help="synthetic recovery evaluation")
     p.add_argument("--preset", help="named scenario preset")
     p.add_argument("--scenario", help="scenario JSON file")
-    p.add_argument("--k", type=int, default=None, help="override scenario K")
+    p.add_argument("--k", type=int, default=None,
+                   help="number of phenotypes; must equal the scenario's K")
     p.add_argument("--seed", type=int)
     p.add_argument("--max-em-iters", type=int, default=200)
     p.add_argument("--em-tol", type=float, default=1e-5)

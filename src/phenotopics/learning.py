@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .corpus import Corpus, Vocabulary
-from .numerics import NewtonConfig
+from .numerics import is_positive_definite
 from .variational import ModelParams, elbo, infer_document
 
 MODEL_FORMAT_VERSION = 1
@@ -47,7 +47,6 @@ class TrainConfig:
     beta_smoothing: float = 1e-8
     noise_scale: float = 1.0
     doc_tol: float = 1e-4
-    doc_max_outer: int = 100
     update_prior: bool = True
 
     def __post_init__(self):
@@ -143,7 +142,7 @@ def m_step(
         sigma0 = sum(post.nu_cov for post in posteriors) / len(posteriors)
         sigma0 += centered.T @ centered / len(posteriors)
         sigma0 = 0.5 * (sigma0 + sigma0.T)
-        if not _is_pd(sigma0):
+        if not is_positive_definite(sigma0):
             warnings.warn(
                 f"estimated prior covariance lost definiteness; adding ridge {SIGMA_RIDGE:g}",
                 RuntimeWarning,
@@ -158,27 +157,10 @@ def m_step(
     return ModelParams.create(mu0, sigma0, log_beta)
 
 
-def _is_pd(matrix: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(matrix)
-        return True
-    except np.linalg.LinAlgError:
-        return False
-
-
 def _e_step(corpus, params, cfg, warm_starts, threads):
-    newton_cfg = NewtonConfig()
-
     def infer_one(pair):
         rec, warm = pair
-        return infer_document(
-            rec,
-            params,
-            tol=cfg.doc_tol,
-            max_outer=cfg.doc_max_outer,
-            nu_init=warm,
-            newton_config=newton_cfg,
-        )
+        return infer_document(rec, params, tol=cfg.doc_tol, nu_init=warm)
 
     jobs = list(zip(corpus.records, warm_starts))
     if threads and threads > 1:
@@ -294,7 +276,9 @@ def load_model(path) -> TrainedModel:
             np.asarray(payload["log_beta"][v.type_name], dtype=float).reshape(k, v.size)
             for v in vocabularies
         ]
-        config = TrainConfig(**payload["config"])
+        config = dict(payload["config"])
+        config.pop("doc_max_outer", None)  # retired; older model files still carry it
+        config = TrainConfig(**config)
         stored_fp = payload["vocab_fingerprint"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: malformed model payload ({exc})") from exc

@@ -1,4 +1,4 @@
-"""Shared numerical kernels: stable softmax, Newton ascent, derivative oracle."""
+"""Shared numerical kernels: stable softmax, damped Newton ascent, PD check."""
 
 from __future__ import annotations
 
@@ -36,20 +36,13 @@ def log_sum_exp(v) -> float:
     return float(m + np.log(np.exp(v - m).sum()))
 
 
-def finite_difference_gradient(f: Callable[[np.ndarray], float], x, h: float) -> np.ndarray:
-    """Central-difference gradient (f(x + h e_i) - f(x - h e_i)) / 2h.
-
-    Test oracle: intentionally independent of any analytic gradient code.
-    """
-    if h <= 0:
-        raise ValueError(f"finite-difference step must be positive, got {h}")
-    x = np.asarray(x, dtype=float)
-    grad = np.empty_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        grad[i] = (f(x + e) - f(x - e)) / (2.0 * h)
-    return _require_finite(grad, "finite-difference gradient")
+def is_positive_definite(matrix: np.ndarray) -> bool:
+    """True when ``matrix`` has a Cholesky factor (symmetric positive definite)."""
+    try:
+        np.linalg.cholesky(matrix)
+        return True
+    except np.linalg.LinAlgError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -78,6 +71,7 @@ class NewtonResult:
     converged: bool
     iterations: int
     grad_norm: float
+    step_norm: float  # sup-norm of the Newton step left at x; 0 when converged
     status: str  # "converged" | "max_iters" | "line_search_failure"
     objective_trace: list = field(default_factory=list)
 
@@ -109,11 +103,16 @@ def maximize_concave(
 ) -> NewtonResult:
     """Damped Newton ascent with backtracking line search.
 
-    Stops when the sup-norm of the gradient drops to ``config.grad_tol`` or the
-    iteration budget runs out; every accepted step strictly increases ``f``, so
-    the method also terminates (status ``line_search_failure``) on functions it
-    cannot improve, returning the best iterate seen. The returned Hessian is the
-    exact (undamped) Hessian at the final iterate.
+    The objective need not be concave: where the Hessian is not negative
+    definite, the step solves a system damped by a growing multiple of the
+    identity until it is, which still gives an ascent direction. Stops when
+    the sup-norm of the gradient drops to ``config.grad_tol`` or the
+    iteration budget runs out; every accepted step strictly increases ``f``,
+    so the method also terminates (status ``line_search_failure``) where it
+    can no longer improve ``f`` in floating point, returning the best iterate
+    seen. ``step_norm`` is the sup-norm of the (damped) Newton step left at
+    that iterate, an estimate of its distance to a stationary point.
+    The returned Hessian is the exact (undamped) Hessian at the final iterate.
 
     Raises
     ------
@@ -165,12 +164,16 @@ def maximize_concave(
     if gnorm <= cfg.grad_tol:
         converged = True
         status = "converged"
+    hessian = np.asarray(hess(x), dtype=float)
+    if status == "max_iters":  # the last step computed was taken; x needs its own
+        step = _damped_newton_step(hessian, g, cfg.hessian_damping)
     return NewtonResult(
         x=x,
-        hessian=np.asarray(hess(x), dtype=float),
+        hessian=hessian,
         converged=converged,
         iterations=iterations,
         grad_norm=gnorm,
+        step_norm=0.0 if converged else float(np.abs(step).max()),
         status=status,
         objective_trace=trace,
     )

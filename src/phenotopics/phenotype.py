@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .learning import TrainedModel
+from .numerics import is_positive_definite
 
 
 @dataclass
@@ -78,29 +79,29 @@ def correlation_matrix(model: TrainedModel, method: str = "prior") -> np.ndarray
     (requires posteriors).
     """
     if method == "prior":
-        sigma = model.params.sigma0
-        d = np.diag(sigma)
-        if np.any(d <= 0) or not _is_pd(sigma):
-            raise ValueError("model prior covariance is not positive definite")
-        corr = sigma / np.sqrt(np.outer(d, d))
-    elif method == "empirical":
+        return covariance_to_correlation(model.params.sigma0)
+    if method == "empirical":
         if not model.doc_posteriors:
             raise ValueError("empirical correlation requires per-record posteriors")
         props = np.stack([post.proportions for post in model.doc_posteriors])
-        corr = np.corrcoef(props, rowvar=False)
-    else:
-        raise ValueError(f"unknown correlation method {method!r}")
+        return _unit_symmetric(np.corrcoef(props, rowvar=False))
+    raise ValueError(f"unknown correlation method {method!r}")
+
+
+def covariance_to_correlation(sigma) -> np.ndarray:
+    """Normalize a positive-definite covariance to its correlation matrix."""
+    sigma = np.asarray(sigma, dtype=float)
+    d = np.diag(sigma)
+    if np.any(d <= 0) or not is_positive_definite(sigma):
+        raise ValueError("covariance is not positive definite")
+    return _unit_symmetric(sigma / np.sqrt(np.outer(d, d)))
+
+
+def _unit_symmetric(corr: np.ndarray) -> np.ndarray:
+    """Exactly symmetric, with an exact unit diagonal."""
     corr = 0.5 * (corr + corr.T)
     np.fill_diagonal(corr, 1.0)
     return corr
-
-
-def _is_pd(matrix: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(matrix)
-        return True
-    except np.linalg.LinAlgError:
-        return False
 
 
 def correlation_graph(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .learning import TrainedModel, check_compatible
+from .learning import TrainedModel
 from .variational import infer_document
 
 # Emitted sankey documents follow this structure; nodes exist for every
@@ -91,12 +91,7 @@ def summarize_record(segments, model: TrainedModel, top_n: int = 5) -> SummaryTr
     proportions = []
     bins = []
     for pos, seg in enumerate(segments):
-        post = infer_document(
-            seg,
-            model.params,
-            tol=model.config.doc_tol,
-            max_outer=model.config.doc_max_outer,
-        )
+        post = infer_document(seg, model.params, tol=model.config.doc_tol)
         proportions.append(post.proportions)
         bins.append(seg.time_bin if seg.time_bin is not None else str(pos))
     proportions = np.stack(proportions)
@@ -115,12 +110,6 @@ def summarize_record(segments, model: TrainedModel, top_n: int = 5) -> SummaryTr
         salience=salience,
         residual=residual,
     )
-
-
-def summarize_corpus_record(segments, model: TrainedModel, vocabularies, top_n: int = 5):
-    """Fingerprint-checked wrapper used when segments come from a corpus file."""
-    check_compatible(model, vocabularies)
-    return summarize_record(segments, model, top_n=top_n)
 
 
 def coverage_count(proportions, mass: float) -> int:

@@ -22,6 +22,7 @@ import scipy.optimize
 from .corpus import Corpus, RecordBags, Vocabulary
 from .learning import TrainedModel
 from .numerics import softmax
+from .phenotype import covariance_to_correlation
 from .variational import ModelParams
 
 # Exact cost ties (identical rows) are the only case where assignment optima
@@ -73,6 +74,22 @@ class Scenario:
     block_mass: float = 0.95
     block_overlap: int = 0
     sigma0_pairs: tuple = ()
+
+    def __post_init__(self):
+        if self.K < 1 or self.M < 1 or self.D < 1:
+            raise ValueError("K, M and D must be >= 1")
+        if self.K > self.vocab_size:
+            raise ValueError(
+                f"K={self.K} exceeds vocab_size={self.vocab_size}: "
+                "every phenotype needs a token block of its own"
+            )
+        if self.tokens_per_type < 0 or self.block_overlap < 0:
+            raise ValueError("tokens_per_type and block_overlap must be non-negative")
+        if not 0.0 <= self.block_mass <= 1.0:
+            raise ValueError("block_mass must lie in [0, 1]")
+        for i, j, _ in self.sigma0_pairs:
+            if not (0 <= i < self.K and 0 <= j < self.K and i != j):
+                raise ValueError(f"sigma0 pair ({i}, {j}) is not two distinct phenotypes")
 
     def vocabularies(self) -> tuple:
         return tuple(
@@ -284,14 +301,6 @@ def match_phenotypes(learned: ModelParams, truth: ModelParams) -> list:
     return perm
 
 
-def _correlation(sigma: np.ndarray) -> np.ndarray:
-    d = np.sqrt(np.diag(sigma))
-    corr = sigma / np.outer(d, d)
-    corr = 0.5 * (corr + corr.T)
-    np.fill_diagonal(corr, 1.0)
-    return corr
-
-
 def recovery_report(
     learned: TrainedModel, planted: PlantedModel, corr_threshold: float = 0.5
 ) -> RecoveryReport:
@@ -314,8 +323,8 @@ def recovery_report(
             tv[i, m] = 0.5 * np.abs(a[i] - b[perm[i]]).sum()
 
     inv_perm = {truth_i: learned_i for learned_i, truth_i in enumerate(perm)}
-    planted_corr = _correlation(truth.sigma0)
-    learned_corr = _correlation(learned.params.sigma0)
+    planted_corr = covariance_to_correlation(truth.sigma0)
+    learned_corr = covariance_to_correlation(learned.params.sigma0)
     pairs = []
     for i in range(k):
         for j in range(i + 1, k):

@@ -2,13 +2,20 @@
 
 Each record carries M bags of token counts. The latent log phenotype
 proportions ``nu`` get a Gaussian prior N(mu0, sigma0); every token carries a
-latent phenotype assignment drawn from softmax(nu). Inference alternates two
-coordinate updates until the mode stops moving:
+latent phenotype assignment drawn from softmax(nu). The posterior is
+approximated by
 
+* a Gaussian q(nu) at the mode of the collapsed log joint log p(x, nu), with
+  the assignments summed out (:class:`ModeObjective`), found by one damped
+  Newton ascent, and
 * token responsibilities q(z): a closed-form softmax over phenotypes per
-  distinct token, and
-* the Gaussian q(nu): a Newton ascent to the mode of the unnormalized
-  log-posterior, with covariance from the negated inverse Hessian there.
+  distinct token, evaluated at that mode.
+
+The mode is the fixed point of alternating the two updates (Laplace
+variational inference, Wang & Blei 2013, on the correlated topic model's
+logistic-normal prior). The covariance is the inverse of the negated Hessian
+of the q(nu) objective eta(nu)' s - (nu - mu0)' sigma0_inv (nu - mu0) / 2 at
+the mode, with s the expected counts there.
 
 The expectation of ``eta(nu) = nu - logsumexp(nu)`` under q(nu) has no closed
 form. The responsibility update evaluates it at the mode (zeroth order; the
@@ -27,7 +34,7 @@ import numpy as np
 import scipy.linalg
 
 from .corpus import RecordBags
-from .numerics import NewtonConfig, log_sum_exp, maximize_concave, softmax
+from .numerics import log_sum_exp, maximize_concave, softmax
 
 
 @dataclass
@@ -93,14 +100,12 @@ class ModelParams:
 class DocPosterior:
     """Laplace-approximate posterior for one record.
 
-    ``responsibilities[m]`` maps each distinct token index of type m to its
-    K-simplex assignment distribution; occurrences of the same token share one
-    entry because the update depends only on token identity. ``expected_counts``
-    is the (M, K) matrix of per-type expected token mass per phenotype.
-
-    Internally the per-token data lives in aligned arrays (``token_indices``,
-    ``token_counts``, ``resp``) so the training hot paths never touch dicts;
-    ``responsibilities`` is a view built on demand.
+    The per-token data lives in aligned arrays: ``token_indices[m]`` holds the
+    distinct token indices of type m, ``token_counts[m]`` their counts and
+    ``resp[m]`` the (K, n_m) q(z) columns; occurrences of the same token share
+    one column because q(z) depends only on token identity.
+    ``expected_counts`` is the (M, K) matrix of per-type expected token mass
+    per phenotype. ``iterations`` counts Newton iterations.
     """
 
     nu_hat: np.ndarray
@@ -113,109 +118,115 @@ class DocPosterior:
     converged: bool
     iterations: int
 
-    @property
-    def responsibilities(self) -> list:
-        return [
-            {int(v): self.resp[m][:, j] for j, v in enumerate(idx)}
-            for m, idx in enumerate(self.token_indices)
-        ]
+
+def _bag_arrays(record: RecordBags, params: ModelParams):
+    """Split each sparse bag into aligned (token_index, count) arrays."""
+    if len(record.bags) != params.num_types:
+        raise ValueError("record has a different number of types than the model")
+    indices, counts = [], []
+    for m, bag in enumerate(record.bags):
+        idx = np.fromiter(bag.keys(), dtype=np.intp, count=len(bag))
+        if idx.size and (idx.min() < 0 or idx.max() >= params.log_beta[m].shape[1]):
+            raise ValueError(f"token index out of range for type {m}")
+        indices.append(idx)
+        counts.append(np.fromiter(bag.values(), dtype=float, count=len(bag)))
+    return indices, counts
 
 
-def _total_counts(expected_counts) -> np.ndarray:
-    """Sum the per-type expected count vectors into one K-vector."""
-    s = np.asarray(expected_counts, dtype=float)
-    return s.sum(axis=0) if s.ndim == 2 else s
+def _responsibilities(indices, counts, nu, params: ModelParams):
+    """Closed-form q(z) per distinct token at log proportions ``nu``.
 
-
-def f_nu(nu, expected_counts, params: ModelParams) -> float:
-    """Mode objective: eta(nu)' s - (nu - mu0)' sigma0_inv (nu - mu0) / 2.
-
-    ``s`` sums the per-type expected counts and eta(nu) = nu - logsumexp(nu).
-    Concave in nu; its maximizer is the Gaussian posterior mode.
+    q(z=k | token v of type m) is the k-softmax of nu + log_beta[m][:, v]
+    (the logsumexp part of eta(nu) is constant across k and cancels). Returns
+    the per-type (K, n_m) matrices, the (M, K) expected counts and the
+    per-type data terms sum_v c_v logsumexp_k(nu_k + log_beta[m][k, v]).
     """
-    nu = np.asarray(nu, dtype=float)
-    s = _total_counts(expected_counts)
-    eta = nu - log_sum_exp(nu)
-    centered = nu - params.mu0
-    return float(eta @ s - 0.5 * centered @ params.sigma0_inv @ centered)
+    k = params.num_phenotypes
+    resp = []
+    expected = np.zeros((params.num_types, k))
+    data = np.zeros(params.num_types)
+    nu_col = nu[:, None]
+    for m, (idx, cnt) in enumerate(zip(indices, counts)):
+        if idx.size == 0:
+            resp.append(np.zeros((k, 0)))
+            continue
+        logits = params.log_beta[m][:, idx] + nu_col
+        top = logits.max(axis=0)
+        q = np.exp(logits - top)
+        total = q.sum(axis=0)
+        q /= total
+        resp.append(q)
+        expected[m] = q @ cnt
+        data[m] = cnt @ (top + np.log(total))
+    return resp, expected, data
 
 
-def grad_f(nu, expected_counts, params: ModelParams) -> np.ndarray:
-    """Gradient of :func:`f_nu`: s - sum(s) * softmax(nu) - sigma0_inv (nu - mu0)."""
-    nu = np.asarray(nu, dtype=float)
-    s = _total_counts(expected_counts)
-    return s - s.sum() * softmax(nu) - params.sigma0_inv @ (nu - params.mu0)
+def _laplace_hessian(pi, n_total: float, params: ModelParams) -> np.ndarray:
+    """Hessian of -n_total * logsumexp(nu) - (nu - mu0)' sigma0_inv (nu - mu0) / 2.
 
-
-def hess_f(nu, expected_counts, params: ModelParams) -> np.ndarray:
-    """Hessian of :func:`f_nu`: sum(s) * (pi pi' - diag(pi)) - sigma0_inv.
-
-    Exactly symmetric term by term; negative definite whenever sigma0 is PD,
-    since diag(pi) - pi pi' is PSD.
+    Negative definite whenever sigma0 is PD, since diag(pi) - pi pi' is PSD;
+    its negated inverse at the mode is the Laplace covariance.
     """
-    nu = np.asarray(nu, dtype=float)
-    s = _total_counts(expected_counts)
-    pi = softmax(nu)
-    return s.sum() * (np.outer(pi, pi) - np.diag(pi)) - params.sigma0_inv
+    return n_total * (np.outer(pi, pi) - np.diag(pi)) - params.sigma0_inv
 
 
-def _make_objective(s, params: ModelParams):
-    """f/grad/hess closures for f_nu with one shared softmax per iterate.
+class ModeObjective:
+    """Collapsed log joint of one record, log p(x, nu) up to a constant.
 
-    The Newton loop evaluates all three at the same point; a one-slot cache
-    keyed on the iterate's bytes avoids recomputing the simplex projection.
-    Mathematically identical to f_nu/grad_f/hess_f.
+    g(nu) = sum_m sum_v c_mv logsumexp_k(nu_k + log_beta[m][k, v])
+            - N logsumexp(nu) - (nu - mu0)' sigma0_inv (nu - mu0) / 2,
+
+    with N the record's token total. Its gradient is
+    sum_m R_m c_m - N pi - sigma0_inv (nu - mu0), where R_m holds the q(z)
+    responsibilities at nu, so it vanishes exactly at the fixed point of
+    alternating q(z) with the Gaussian q(nu) mode. Its Hessian is
+    sum_m [diag(R_m c_m) - (R_m * c_m) R_m'] plus :func:`_laplace_hessian`.
+    The data term is convex, so g need not be concave.
+
+    Value, gradient and Hessian at one iterate share a single responsibility
+    pass, cached on the iterate's bytes. Per-type terms are summed before the
+    prior terms are added, so permuting the types leaves every result
+    bitwise unchanged.
     """
-    n_total = float(s.sum())
-    mu0, sigma0_inv = params.mu0, params.sigma0_inv
-    state = {"key": None, "pi": None, "lse": None}
 
-    def stats(nu):
+    def __init__(self, record: RecordBags, params: ModelParams):
+        self.params = params
+        self.indices, self.counts = _bag_arrays(record, params)
+        self.n_total = float(sum(cnt.sum() for cnt in self.counts))
+        self._key = None
+        self._state = None
+
+    def at(self, nu):
+        """(resp, expected, data, pi, lse) at ``nu``, from the one-slot cache."""
+        nu = np.asarray(nu, dtype=float)
         key = nu.tobytes()
-        if state["key"] != key:
-            m = nu.max()
-            e = np.exp(nu - m)
-            tot = e.sum()
-            state["key"] = key
-            state["pi"] = e / tot
-            state["lse"] = float(m) + float(np.log(tot))
-        return state["pi"], state["lse"]
+        if self._key != key:
+            resp, expected, data = _responsibilities(self.indices, self.counts, nu, self.params)
+            top = nu.max()
+            e = np.exp(nu - top)
+            total = e.sum()
+            self._state = (resp, expected, data, e / total, float(top) + float(np.log(total)))
+            self._key = key
+        return self._state
 
-    def f(nu):
-        _, lse = stats(nu)
-        centered = nu - mu0
-        return float(nu @ s) - n_total * lse - 0.5 * float(centered @ sigma0_inv @ centered)
+    def value(self, nu) -> float:
+        _, _, data, _, lse = self.at(nu)
+        centered = np.asarray(nu, dtype=float) - self.params.mu0
+        prior = 0.5 * float(centered @ self.params.sigma0_inv @ centered)
+        return float(data.sum()) - self.n_total * lse - prior
 
-    def grad(nu):
-        pi, _ = stats(nu)
-        return s - n_total * pi - sigma0_inv @ (nu - mu0)
+    def gradient(self, nu) -> np.ndarray:
+        _, expected, _, pi, _ = self.at(nu)
+        centered = np.asarray(nu, dtype=float) - self.params.mu0
+        return expected.sum(axis=0) - self.n_total * pi - self.params.sigma0_inv @ centered
 
-    def hess(nu):
-        pi, _ = stats(nu)
-        return n_total * (np.outer(pi, pi) - np.diag(pi)) - sigma0_inv
-
-    return f, grad, hess
-
-
-def update_q_nu(
-    expected_counts,
-    params: ModelParams,
-    nu_init,
-    newton_config: NewtonConfig | None = None,
-):
-    """Newton-maximize f_nu and return (nu_hat, nu_cov, converged).
-
-    ``nu_cov`` is the inverse of the negated Hessian at the mode. If that
-    inverse is numerically singular it is repaired with an escalating ridge
-    and a RuntimeWarning is emitted.
-    """
-    s = _total_counts(expected_counts)
-    if not np.all(np.isfinite(s)) or np.any(s < 0):
-        raise ValueError("expected counts must be finite and non-negative")
-    f, grad, hess = _make_objective(s, params)
-    result = maximize_concave(f, grad, hess, nu_init, newton_config)
-    nu_cov = _invert_neg_hessian(result.hessian)
-    return result.x, nu_cov, result.converged
+    def hessian(self, nu) -> np.ndarray:
+        resp, expected, _, pi, _ = self.at(nu)
+        data = np.diag(expected.sum(axis=0))
+        data -= sum(
+            (q * cnt) @ q.T for q, cnt in zip(resp, self.counts) if cnt.size
+        )
+        return data + _laplace_hessian(pi, self.n_total, self.params)
 
 
 def _invert_neg_hessian(hessian: np.ndarray) -> np.ndarray:
@@ -238,110 +249,40 @@ def _invert_neg_hessian(hessian: np.ndarray) -> np.ndarray:
                 raise
 
 
-def _bag_arrays(record: RecordBags):
-    """Split each sparse bag into aligned (token_index, count) arrays."""
-    indices, counts = [], []
-    for bag in record.bags:
-        idx = np.fromiter(bag.keys(), dtype=np.intp, count=len(bag))
-        cnt = np.fromiter(bag.values(), dtype=float, count=len(bag))
-        indices.append(idx)
-        counts.append(cnt)
-    return indices, counts
-
-
-def _responsibilities(indices, counts, nu_hat, params: ModelParams):
-    """Closed-form q(z) per distinct token plus per-type expected counts.
-
-    q(z=k | token v of type m) is the k-softmax of eta(nu_hat) + log_beta; the
-    logsumexp part of eta is constant across k and cancels, so nu_hat is used
-    directly. Returns per-type (K, n_m) matrices and the (M, K) expected
-    counts.
-    """
-    k = params.num_phenotypes
-    resp = []
-    expected = np.zeros((params.num_types, k))
-    nu_col = nu_hat[:, None]
-    for m, (idx, cnt) in enumerate(zip(indices, counts)):
-        if idx.size == 0:
-            resp.append(np.zeros((k, 0)))
-            continue
-        if idx.min() < 0 or idx.max() >= params.log_beta[m].shape[1]:
-            raise ValueError(f"token index out of range for type {m}")
-        logits = params.log_beta[m][:, idx] + nu_col
-        logits -= logits.max(axis=0, keepdims=True)
-        q = np.exp(logits)
-        q /= q.sum(axis=0, keepdims=True)
-        resp.append(q)
-        expected[m] = q @ cnt
-    return resp, expected
-
-
-def update_q_z(record: RecordBags, nu_hat, params: ModelParams):
-    """Responsibility update for every distinct token of every type.
-
-    Returns (responsibilities, expected_counts): per type a map from distinct
-    token index to its K-vector q(z), and the (M, K) matrix of count-weighted
-    responsibility sums, which conserves the record's per-type token totals.
-    """
-    nu_hat = np.asarray(nu_hat, dtype=float)
-    if len(record.bags) != params.num_types:
-        raise ValueError("record has a different number of types than the model")
-    indices, counts = _bag_arrays(record)
-    resp, expected = _responsibilities(indices, counts, nu_hat, params)
-    dict_view = [
-        {int(v): resp[m][:, j] for j, v in enumerate(idx)}
-        for m, idx in enumerate(indices)
-    ]
-    return dict_view, expected
-
-
 def infer_document(
     record: RecordBags,
     params: ModelParams,
     tol: float = 1e-4,
-    max_outer: int = 100,
     nu_init=None,
-    newton_config: NewtonConfig | None = None,
 ) -> DocPosterior:
-    """Coordinate ascent between q(z) and q(nu) for one record.
+    """Laplace posterior for one record: one Newton ascent on the collapsed objective.
 
-    Starts the mode at ``nu_init`` (prior mean by default; training passes the
-    previous EM iteration's mode as a warm start) and stops when the mode moves
-    less than ``tol`` in sup-norm or ``max_outer`` rounds elapse. Deterministic:
-    no randomness anywhere in the updates.
+    Starts at ``nu_init`` (prior mean by default; training passes the previous
+    EM iteration's mode as a warm start) and maximizes :class:`ModeObjective`.
+    q(z) is read off at the mode, and the covariance is the inverse of
+    N (diag(pi) - pi pi') + sigma0_inv there. The record counts as converged
+    when Newton met its gradient tolerance or the Newton step left at the
+    returned mode is at most ``tol`` in sup-norm (the float floor of the
+    objective can stop the line search first). Deterministic: no randomness
+    anywhere in the updates.
     """
-    if len(record.bags) != params.num_types:
-        raise ValueError("record has a different number of types than the model")
-    indices, counts = _bag_arrays(record)
-    nu_hat = np.array(params.mu0 if nu_init is None else nu_init, dtype=float)
-
-    converged = False
-    newton_ok = True
-    iterations = 0
-    resp, expected = _responsibilities(indices, counts, nu_hat, params)
-    for iterations in range(1, max_outer + 1):
-        nu_new, _, newton_ok = update_q_nu(expected, params, nu_hat, newton_config)
-        delta = float(np.abs(nu_new - nu_hat).max())
-        nu_hat = nu_new
-        resp, expected = _responsibilities(indices, counts, nu_hat, params)
-        if delta <= tol:
-            converged = True
-            break
-
-    # Covariance from the Hessian at the final mode with the final expected
-    # counts, so the returned fields are mutually consistent.
-    nu_cov = _invert_neg_hessian(hess_f(nu_hat, expected, params))
+    objective = ModeObjective(record, params)
+    nu0 = np.array(params.mu0 if nu_init is None else nu_init, dtype=float)
+    result = maximize_concave(objective.value, objective.gradient, objective.hessian, nu0)
+    nu_hat = result.x
+    resp, expected, _, pi, _ = objective.at(nu_hat)
+    nu_cov = _invert_neg_hessian(_laplace_hessian(pi, objective.n_total, params))
 
     return DocPosterior(
         nu_hat=nu_hat,
         nu_cov=nu_cov,
-        token_indices=indices,
-        token_counts=counts,
+        token_indices=objective.indices,
+        token_counts=objective.counts,
         resp=resp,
         expected_counts=expected,
         proportions=softmax(nu_hat),
-        converged=converged and newton_ok,
-        iterations=iterations,
+        converged=result.converged or result.step_norm <= tol,
+        iterations=result.iterations,
     )
 
 
@@ -352,8 +293,8 @@ def elbo(record: RecordBags, posterior: DocPosterior, params: ModelParams) -> fl
     logsumexp(nu) uses its second-order expansion at the mode,
     ``logsumexp(nu_hat) + tr((diag(pi) - pi pi') cov) / 2``; the zeroth-order
     version overshoots the log evidence (see module note). Used as a
-    convergence diagnostic; per-record convergence itself is declared on mode
-    movement.
+    convergence diagnostic; per-record convergence itself is declared by the
+    Newton solve in :func:`infer_document`.
     """
     k = params.num_phenotypes
     nu_hat, nu_cov = posterior.nu_hat, posterior.nu_cov
@@ -376,7 +317,7 @@ def elbo(record: RecordBags, posterior: DocPosterior, params: ModelParams) -> fl
         + float(centered @ params.sigma0_inv @ centered)
     )
 
-    s = _total_counts(posterior.expected_counts)
+    s = posterior.expected_counts.sum(axis=0)
     pi_hat = softmax(nu_hat)
     lse_correction = 0.5 * float(np.sum((np.diag(pi_hat) - np.outer(pi_hat, pi_hat)) * nu_cov))
     e_eta = nu_hat - (log_sum_exp(nu_hat) + lse_correction)

@@ -10,6 +10,21 @@ import itertools
 import numpy as np
 
 
+def finite_difference_gradient(f, x, h):
+    """Central-difference gradient (f(x + h e_i) - f(x - h e_i)) / 2h."""
+    if h <= 0:
+        raise ValueError(f"finite-difference step must be positive, got {h}")
+    x = np.asarray(x, dtype=float)
+    grad = np.empty_like(x)
+    for i in range(x.size):
+        e = np.zeros_like(x)
+        e[i] = h
+        grad[i] = (f(x + e) - f(x - e)) / (2.0 * h)
+    if not np.all(np.isfinite(grad)):
+        raise FloatingPointError(f"non-finite finite-difference gradient: {grad!r}")
+    return grad
+
+
 def fd_jacobian(func, x, h):
     """Central-difference Jacobian of a vector-valued function."""
     x = np.asarray(x, dtype=float)

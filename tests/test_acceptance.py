@@ -16,7 +16,6 @@ from phenotopics.cli import main
 from phenotopics.corpus import Corpus, RecordBags, Vocabulary, save_corpus
 from phenotopics.learning import TrainConfig, initialize, m_step, train, vocab_fingerprint
 from phenotopics.learning import TrainedModel
-from phenotopics.numerics import finite_difference_gradient
 from phenotopics.phenotype import correlation_graph, correlation_matrix
 from phenotopics.summarize import (
     SANKEY_SCHEMA,
@@ -26,17 +25,10 @@ from phenotopics.summarize import (
     summarize_record,
 )
 from phenotopics.synth import get_preset, recovery_report, sample_scenario
-from phenotopics.variational import (
-    ModelParams,
-    f_nu,
-    grad_f,
-    hess_f,
-    infer_document,
-    update_q_nu,
-)
+from phenotopics.variational import ModelParams, ModeObjective, infer_document
 
-from .conftest import make_params, random_params, two_block_corpus
-from .oracles import fd_jacobian, scan_coverage_count
+from .conftest import make_params, random_params, random_record, two_block_corpus
+from .oracles import fd_jacobian, finite_difference_gradient, scan_coverage_count
 
 
 def report(number, name, passed, details):
@@ -51,15 +43,17 @@ def test_criterion_01_derivative_correctness():
     worst_hess = 0.0
     for k in (2, 5, 25):
         for _ in range(20):
-            params = random_params(rng, k, [9])
-            s = rng.uniform(0.0, 10.0, size=(1, k))
+            params = random_params(rng, k, [9, 5])
+            lengths = [int(rng.integers(1, 60)), int(rng.integers(0, 20))]
+            record = random_record(rng, params, lengths)
+            objective = ModeObjective(record, params)
             nu = rng.normal(scale=2.0, size=k)
-            grad = grad_f(nu, s, params)
-            grad_fd = finite_difference_gradient(lambda x: f_nu(x, s, params), nu, 1e-6)
+            grad = objective.gradient(nu)
+            grad_fd = finite_difference_gradient(objective.value, nu, 1e-6)
             rel = np.abs(grad - grad_fd).max() / max(1.0, np.abs(grad_fd).max())
             worst_grad = max(worst_grad, rel)
-            hess = hess_f(nu, s, params)
-            hess_fd = fd_jacobian(lambda x: grad_f(x, s, params), nu, 1e-5)
+            hess = objective.hessian(nu)
+            hess_fd = fd_jacobian(objective.gradient, nu, 1e-5)
             worst_hess = max(worst_hess, np.abs(hess - hess_fd).max())
     elapsed = time.monotonic() - started
     report(
@@ -78,10 +72,11 @@ def test_criterion_02_laplace_no_data_returns_prior():
     worst_cov = 0.0
     for k in (2, 4, 8):
         params = random_params(rng, k, [5])
-        nu_hat, nu_cov, converged = update_q_nu(np.zeros((1, k)), params, params.mu0)
-        assert converged
-        worst_mode = max(worst_mode, np.abs(nu_hat - params.mu0).max())
-        worst_cov = max(worst_cov, np.abs(nu_cov - params.sigma0).max())
+        start = params.mu0 + rng.normal(size=k)
+        post = infer_document(RecordBags("empty", ({},)), params, nu_init=start)
+        assert post.converged
+        worst_mode = max(worst_mode, np.abs(post.nu_hat - params.mu0).max())
+        worst_cov = max(worst_cov, np.abs(post.nu_cov - params.sigma0).max())
     elapsed = time.monotonic() - started
     report(
         2,
@@ -114,7 +109,7 @@ def test_criterion_03_small_instance_posterior_oracle():
     weights = like * np.exp(-0.5 * (nus**2).sum(axis=1))
     oracle_mean = (weights[:, None] * pis).sum(axis=0) / weights.sum()
 
-    post = infer_document(record, params, tol=1e-6, max_outer=200)
+    post = infer_document(record, params, tol=1e-6)
     ranking = np.argsort(-post.proportions)
     oracle_ranking = np.argsort(-oracle_mean)
     gap = float(np.abs(post.proportions - oracle_mean).max())
@@ -185,8 +180,7 @@ def test_criterion_06_normalization_and_conservation():
     for _ in range(8):
         posts = []
         for rec, w in zip(corpus.records, warm):
-            post = infer_document(rec, params, tol=cfg.doc_tol,
-                                  max_outer=cfg.doc_max_outer, nu_init=w)
+            post = infer_document(rec, params, tol=cfg.doc_tol, nu_init=w)
             posts.append(post)
             for m, bag in enumerate(rec.bags):
                 if post.token_indices[m].size:

@@ -47,6 +47,7 @@ class TestTrain:
         assert manifest["command"] == "train"
         assert manifest["seed"] == 5
         assert manifest["converged"] is True
+        assert manifest["nonconverged_records"] == 0
         assert "wall_time_s" in manifest
 
     def test_history_is_objective_per_iteration(self, trained):
@@ -324,6 +325,21 @@ class TestEval:
                      "--out", str(tmp_path / "e")])
         assert code == 1
 
+    def test_more_phenotypes_than_tokens_is_argument_error(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"name": "wide", "K": 50, "M": 1, "vocab_size": 10,
+                                    "D": 5, "tokens_per_type": 4}))
+        code = main(["eval", "--scenario", str(path), "--seed", "1",
+                     "--out", str(tmp_path / "e")])
+        assert code == 1
+
+    def test_k_differing_from_scenario_rejected_before_training(self, tmp_path):
+        out = tmp_path / "e"
+        code = main(["eval", "--scenario", str(self.scenario_file(tmp_path)), "--k", "4",
+                     "--seed", "4", "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+
 
 class TestCoverage:
     def test_histogram_fractions_sum_to_one(self, trained, corpus_dir, tmp_path):
@@ -378,6 +394,16 @@ class TestMisc:
              "--out", str(tmp_path / "o")]
         )
         assert code == 1
+
+    def test_non_positive_thread_counts_are_argument_errors(self, corpus_dir, tmp_path,
+                                                            monkeypatch):
+        base = ["train", "--corpus", str(corpus_dir), "--k", "2", "--seed", "0",
+                "--out", str(tmp_path / "o")]
+        assert main(base + ["--threads", "0"]) == 1
+        assert main(base + ["--threads", "-2"]) == 1
+        monkeypatch.setenv("PHENOTOPICS_THREADS", "0")
+        assert main(base) == 1
+        assert not (tmp_path / "o").exists()
 
     def test_env_thread_count_used(self, corpus_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("PHENOTOPICS_THREADS", "2")

@@ -10,6 +10,7 @@ from phenotopics.learning import (
     FingerprintError,
     ModelFormatError,
     TrainConfig,
+    _e_step,
     attach_posteriors,
     check_compatible,
     initialize,
@@ -19,7 +20,7 @@ from phenotopics.learning import (
     train,
     vocab_fingerprint,
 )
-from phenotopics.synth import match_phenotypes, sample_corpus
+from phenotopics.synth import get_preset, match_phenotypes, sample_corpus, sample_scenario
 from phenotopics.variational import DocPosterior, ModelParams, infer_document
 
 from .conftest import make_params, two_block_corpus
@@ -249,6 +250,23 @@ class TestTrain:
         tv = 0.5 * np.abs(np.exp(b.log_beta[0]) - np.exp(a.log_beta[0])[perm]).sum(axis=1)
         assert tv.max() <= 1e-6
 
+    def test_every_record_converges_in_early_em_steps(self):
+        # the E-steps of acceptance criterion 6: an overlapping-preset slice,
+        # eight EM iterations from the near-uniform start
+        full, _ = sample_scenario(get_preset("overlapping"), seed=7)
+        corpus = Corpus(vocabularies=full.vocabularies, records=full.records[:40])
+        cfg = TrainConfig(K=4, seed=7)
+        params = initialize(corpus, cfg)
+        warm = [params.mu0] * corpus.num_records
+        for _ in range(8):
+            posts = _e_step(corpus, params, cfg, warm, threads=1)
+            unconverged = [
+                rec.record_id for rec, post in zip(corpus.records, posts) if not post.converged
+            ]
+            assert unconverged == []
+            warm = [post.nu_hat for post in posts]
+            params = m_step(corpus, posts, cfg, current=params)
+
 
 class TestModelIO:
     def test_round_trip_bitwise_params(self, tmp_path):
@@ -285,6 +303,17 @@ class TestModelIO:
         path.write_text(text[: len(text) // 2])
         with pytest.raises(ModelFormatError, match="offset"):
             load_model(path)
+
+    def test_retired_config_key_still_loads(self, tmp_path):
+        # model files written before doc_max_outer was retired carry it
+        model = train(tiny_corpus(), TrainConfig(K=2, seed=6, max_em_iters=2))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        payload = json.loads(path.read_text())
+        assert payload["format_version"] == 1
+        payload["config"]["doc_max_outer"] = 100
+        path.write_text(json.dumps(payload))
+        assert load_model(path).config == model.config
 
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "model.json"

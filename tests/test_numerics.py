@@ -1,4 +1,4 @@
-"""Numerical kernels: softmax/logsumexp stability, Newton ascent, FD oracle."""
+"""Numerical kernels: softmax/logsumexp stability, Newton ascent; the FD oracle."""
 
 import math
 
@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 from phenotopics.numerics import (
     NewtonConfig,
     NonFiniteError,
-    finite_difference_gradient,
     log_sum_exp,
     maximize_concave,
     softmax,
 )
+
+from .oracles import finite_difference_gradient
 
 
 class TestSoftmax:
@@ -199,6 +200,8 @@ class TestMaximizeConcave:
         assert not result.converged
         assert result.status == "max_iters"
         assert f(result.x) > f(np.zeros(3))
+        # the step left at the returned iterate, -hess^-1 grad = tanh(a - x)
+        assert result.step_norm == pytest.approx(np.abs(np.tanh(a - result.x)).max(), rel=1e-12)
 
     def test_non_finite_objective_raises(self):
         with pytest.raises(NonFiniteError):

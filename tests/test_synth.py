@@ -219,6 +219,22 @@ class TestScenarios:
         save_scenario(scenario, path)
         assert load_scenario(path) == scenario
 
+    def test_invalid_scenarios_rejected(self):
+        for bad in (
+            dict(K=50, vocab_size=10),  # no token block of its own per phenotype
+            dict(K=0),
+            dict(D=0),
+            dict(tokens_per_type=-1),
+            dict(block_overlap=-5),
+            dict(block_mass=1.5),
+            dict(sigma0_pairs=((0, 3, 0.5),)),
+        ):
+            fields = dict(name="bad", K=3, M=1, vocab_size=12, D=4, tokens_per_type=6)
+            fields.update(bad)
+            with pytest.raises(ValueError):
+                Scenario(**fields)
+        Scenario(name="one", K=3, M=1, vocab_size=3, D=1, tokens_per_type=1)  # valid
+
     def test_sample_scenario_shapes(self):
         scenario = Scenario(
             name="mini", K=3, M=2, vocab_size=12, D=4, tokens_per_type=6

@@ -1,25 +1,30 @@
-"""Per-record inference: objective derivatives, coordinate updates, elbo."""
+"""Per-record inference: the mode objective and its derivatives, q(nu), q(z), elbo."""
 
 import math
 
 import numpy as np
 import pytest
 
+from phenotopics import variational
 from phenotopics.corpus import RecordBags
-from phenotopics.numerics import finite_difference_gradient, softmax
+from phenotopics.numerics import NewtonConfig, maximize_concave, softmax
 from phenotopics.variational import (
     ModelParams,
+    ModeObjective,
+    _bag_arrays,
+    _laplace_hessian,
+    _responsibilities,
     elbo,
-    f_nu,
-    grad_f,
-    hess_f,
     infer_document,
-    update_q_nu,
-    update_q_z,
 )
 
 from .conftest import make_params, random_params, random_record
-from .oracles import enumeration_posterior_mean_proportions, fd_jacobian, mc_log_likelihood
+from .oracles import (
+    enumeration_posterior_mean_proportions,
+    fd_jacobian,
+    finite_difference_gradient,
+    mc_log_likelihood,
+)
 
 
 class TestModelParams:
@@ -38,53 +43,78 @@ class TestModelParams:
         )
 
 
+def objective(params, bags):
+    return ModeObjective(RecordBags("r", tuple(bags)), params)
+
+
+def q_z(record, nu, params):
+    """q(z) columns and expected counts of ``record`` at log proportions ``nu``."""
+    resp, expected, _ = _responsibilities(*_bag_arrays(record, params), nu, params)
+    return resp, expected
+
+
+def laplace_precision(post, params):
+    """N (diag(pi) - pi pi') + sigma0_inv at the returned mode, from its definition."""
+    n_total = post.expected_counts.sum()
+    pi = softmax(post.nu_hat)
+    return n_total * (np.diag(pi) - np.outer(pi, pi)) + np.linalg.inv(params.sigma0)
+
+
 class TestObjective:
     def test_zero_counts_leave_prior_term(self):
         params = make_params([0.0, 0.0], np.eye(2), [np.full((2, 4), 0.25)])
-        assert f_nu([3.0, -1.0], np.zeros((1, 2)), params) == pytest.approx(-5.0, abs=1e-12)
+        assert objective(params, [{}]).value(np.array([3.0, -1.0])) == pytest.approx(
+            -5.0, abs=1e-12
+        )
 
     def test_hand_evaluated_single_count(self):
+        # log sum_k exp(0 + log 0.25) - 1 * log 2 = log 0.5 - log 2
         params = make_params([0.0, 0.0], np.eye(2), [np.full((2, 4), 0.25)])
-        value = f_nu([0.0, 0.0], np.array([[1.0, 0.0]]), params)
-        assert value == pytest.approx(-math.log(2), abs=1e-12)
+        value = objective(params, [{0: 1}]).value(np.zeros(2))
+        assert value == pytest.approx(-2.0 * math.log(2), abs=1e-12)
 
     def test_matches_independent_reimplementation(self, rng):
-        # direct transcription of the definition, kept separate on purpose
+        # direct transcription: mixture log likelihood of every token plus the
+        # Gaussian log prior, kept separate on purpose
         for _ in range(10):
             k = int(rng.integers(2, 6))
-            params = random_params(rng, k, [7])
-            s = rng.uniform(0, 5, size=(1, k))
+            params = random_params(rng, k, [7, 4])
+            record = random_record(rng, params, [15, 6])
             nu = rng.normal(size=k)
-            eta = nu - np.log(np.exp(nu).sum())
-            expected = eta @ s[0] - 0.5 * (nu - params.mu0) @ np.linalg.inv(
-                params.sigma0
-            ) @ (nu - params.mu0)
-            assert f_nu(nu, s, params) == pytest.approx(expected, rel=1e-9)
+            pi = np.exp(nu) / np.exp(nu).sum()
+            expected = -0.5 * (nu - params.mu0) @ np.linalg.inv(params.sigma0) @ (
+                nu - params.mu0
+            )
+            for bag, lb in zip(record.bags, params.log_beta):
+                for v, c in bag.items():
+                    expected += c * np.log(pi @ np.exp(lb[:, v]))
+            value = ModeObjective(record, params).value(nu)
+            assert value == pytest.approx(expected, rel=1e-9)
 
 
 class TestGradient:
     def test_stationary_at_prior_mean_without_data(self, rng):
         params = random_params(rng, 3, [5])
         np.testing.assert_allclose(
-            grad_f(params.mu0, np.zeros((1, 3)), params), np.zeros(3), atol=1e-12
+            objective(params, [{}]).gradient(params.mu0), np.zeros(3), atol=1e-12
         )
 
     def test_hand_evaluated(self):
-        params = make_params([0.0, 0.0], np.eye(2), [np.full((2, 4), 0.25)])
-        grad = grad_f([0.0, 0.0], np.array([[4.0, 0.0]]), params)
-        np.testing.assert_allclose(grad, [2.0, -2.0], atol=1e-12)
+        # q(z) of token 0 at nu=0 is (0.75, 0.25): expected counts (3, 1)
+        # minus N pi = (2, 2), with no prior pull at the prior mean
+        params = make_params([0.0, 0.0], np.eye(2), [[[0.75, 0.25], [0.25, 0.75]]])
+        grad = objective(params, [{0: 4}]).gradient(np.zeros(2))
+        np.testing.assert_allclose(grad, [1.0, -1.0], atol=1e-12)
 
     def test_matches_finite_differences(self, rng):
         worst = 0.0
         for k in (2, 5, 25):
             for _ in range(20):
                 params = random_params(rng, k, [9])
-                s = rng.uniform(0, 10, size=(1, k))
+                obj = ModeObjective(random_record(rng, params, [int(rng.integers(1, 60))]), params)
                 nu = rng.normal(scale=2.0, size=k)
-                grad = grad_f(nu, s, params)
-                approx = finite_difference_gradient(
-                    lambda x: f_nu(x, s, params), nu, 1e-6
-                )
+                grad = obj.gradient(nu)
+                approx = finite_difference_gradient(obj.value, nu, 1e-6)
                 rel = np.abs(grad - approx).max() / max(1.0, np.abs(approx).max())
                 worst = max(worst, rel)
         assert worst <= 1e-5
@@ -94,7 +124,7 @@ class TestHessian:
     def test_no_data_reduces_to_prior_precision(self, rng):
         params = random_params(rng, 4, [5])
         np.testing.assert_allclose(
-            hess_f(rng.normal(size=4), np.zeros((1, 4)), params),
+            objective(params, [{}]).hessian(rng.normal(size=4)),
             -params.sigma0_inv,
             atol=1e-12,
         )
@@ -103,87 +133,96 @@ class TestHessian:
         worst = 0.0
         for _ in range(20):
             k = int(rng.integers(2, 8))
-            params = random_params(rng, k, [6])
-            s = rng.uniform(0, 10, size=(1, k))
+            params = random_params(rng, k, [6, 4])
+            obj = ModeObjective(random_record(rng, params, [30, 10]), params)
             nu = rng.normal(size=k)
-            hess = hess_f(nu, s, params)
-            approx = fd_jacobian(lambda x: grad_f(x, s, params), nu, 1e-5)
-            worst = max(worst, np.abs(hess - approx).max())
+            approx = fd_jacobian(obj.gradient, nu, 1e-5)
+            worst = max(worst, np.abs(obj.hessian(nu) - approx).max())
         assert worst <= 1e-4
 
     def test_symmetric_and_negated_pd(self, rng):
+        # g itself is not concave (its data term is convex); the Laplace part
+        # whose inverse gives the posterior covariance is
         for _ in range(20):
             k = int(rng.integers(2, 8))
             params = random_params(rng, k, [6])
-            s = rng.uniform(0, 50, size=(1, k))
             nu = rng.normal(scale=3.0, size=k)
-            hess = hess_f(nu, s, params)
-            assert np.abs(hess - hess.T).max() <= 1e-12
-            np.linalg.cholesky(-hess)  # raises if not PD
+            hess = ModeObjective(random_record(rng, params, [50]), params).hessian(nu)
+            assert np.abs(hess - hess.T).max() <= 1e-12 * max(1.0, np.abs(hess).max())
+            laplace = _laplace_hessian(softmax(nu), 50.0, params)
+            assert np.abs(laplace - laplace.T).max() <= 1e-12
+            np.linalg.cholesky(-laplace)  # raises if not PD
 
 
 class TestUpdateQNu:
+    """The Gaussian q(nu) that infer_document returns."""
+
     def test_no_data_returns_prior(self, rng):
         params = random_params(rng, 4, [5])
-        nu_hat, nu_cov, converged = update_q_nu(np.zeros((1, 4)), params, params.mu0)
-        assert converged
-        np.testing.assert_allclose(nu_hat, params.mu0, atol=1e-6)
-        np.testing.assert_allclose(nu_cov, params.sigma0, atol=1e-6)
+        post = infer_document(RecordBags("r", ({},)), params, nu_init=rng.normal(size=4))
+        assert post.converged
+        np.testing.assert_allclose(post.nu_hat, params.mu0, atol=1e-6)
+        np.testing.assert_allclose(post.nu_cov, params.sigma0, atol=1e-6)
 
     def test_loaded_component_dominates_and_is_stationary(self):
-        params = make_params([0.0, 0.0], np.eye(2), [np.full((2, 4), 0.25)])
-        s = np.array([[10.0, 0.0]])
-        nu_hat, _, converged = update_q_nu(s, params, params.mu0)
-        assert converged
-        assert nu_hat[0] > nu_hat[1]
-        assert np.abs(grad_f(nu_hat, s, params)).max() <= 1e-6
+        beta = [[0.97, 0.01, 0.01, 0.01], [0.01, 0.33, 0.33, 0.33]]
+        params = make_params([0.0, 0.0], np.eye(2), [beta])
+        record = RecordBags("r", ({0: 10},))
+        post = infer_document(record, params)
+        assert post.converged
+        assert post.nu_hat[0] > post.nu_hat[1]
+        assert np.abs(ModeObjective(record, params).gradient(post.nu_hat)).max() <= 1e-6
 
     def test_symmetric_counts_give_symmetric_mode(self):
-        params = make_params([0.0, 0.0], np.eye(2), [np.full((2, 4), 0.25)])
-        nu_hat, _, _ = update_q_nu(np.array([[3.0, 3.0]]), params, np.zeros(2))
-        assert nu_hat[0] == pytest.approx(nu_hat[1], abs=1e-10)
+        # swapping phenotypes 0 and 1 together with tokens 0 and 1 maps the
+        # model and the record onto themselves
+        beta = [[0.7, 0.2, 0.1], [0.2, 0.7, 0.1], [0.1, 0.1, 0.8]]
+        params = make_params(np.zeros(3), np.eye(3), [beta])
+        post = infer_document(RecordBags("r", ({0: 3, 1: 3},)), params)
+        assert post.nu_hat[0] == pytest.approx(post.nu_hat[1], abs=1e-10)
+        assert post.nu_hat[0] > post.nu_hat[2]
 
     def test_covariance_is_inverse_negated_hessian(self, rng):
         params = random_params(rng, 3, [6])
-        s = rng.uniform(0, 8, size=(1, 3))
-        nu_hat, nu_cov, _ = update_q_nu(s, params, params.mu0)
+        post = infer_document(random_record(rng, params, [12]), params)
         np.testing.assert_allclose(
-            nu_cov @ (-hess_f(nu_hat, s, params)), np.eye(3), atol=1e-8
+            post.nu_cov @ laplace_precision(post, params), np.eye(3), atol=1e-8
         )
 
 
 class TestUpdateQZ:
+    """The closed-form q(z) responsibilities."""
+
     def test_equal_eta_components_pass_through_beta(self):
         beta = np.array([[0.2, 0.8], [0.8, 0.2]]).T  # columns: token 0 -> [0.2, 0.8]
         params = make_params([0.0, 0.0], np.eye(2), [beta.T])
-        resp, _ = update_q_z(RecordBags("r", ({0: 1},)), np.zeros(2), params)
-        np.testing.assert_allclose(resp[0][0], [0.2, 0.8], atol=1e-12)
+        resp, _ = q_z(RecordBags("r", ({0: 1},)), np.zeros(2), params)
+        np.testing.assert_allclose(resp[0][:, 0], [0.2, 0.8], atol=1e-12)
 
     def test_uniform_beta_column_gives_softmax_of_eta(self):
         params = make_params([0.0, 0.0], np.eye(2), [np.full((2, 3), 1 / 3)])
         nu_hat = np.array([1.0, -0.5])
-        resp, _ = update_q_z(RecordBags("r", ({1: 2},)), nu_hat, params)
-        np.testing.assert_allclose(resp[0][1], softmax(nu_hat), atol=1e-12)
+        resp, _ = q_z(RecordBags("r", ({1: 2},)), nu_hat, params)
+        np.testing.assert_allclose(resp[0][:, 0], softmax(nu_hat), atol=1e-12)
 
     def test_counts_scale_expected_counts_linearly(self):
         params = make_params([0.0, 0.0], np.eye(2), [np.full((2, 3), 1 / 3)])
-        _, expected = update_q_z(RecordBags("r", ({2: 3},)), np.zeros(2), params)
+        _, expected = q_z(RecordBags("r", ({2: 3},)), np.zeros(2), params)
         np.testing.assert_allclose(expected[0], [1.5, 1.5], atol=1e-12)
 
     def test_out_of_range_token_raises(self):
         params = make_params([0.0, 0.0], np.eye(2), [np.full((2, 3), 1 / 3)])
         with pytest.raises(ValueError, match="out of range"):
-            update_q_z(RecordBags("r", ({7: 1},)), np.zeros(2), params)
+            infer_document(RecordBags("r", ({7: 1},)), params)
 
     def test_responsibilities_sum_to_one_and_conserve_counts(self, rng):
         for _ in range(10):
             k = int(rng.integers(2, 6))
             params = random_params(rng, k, [8, 5])
             record = random_record(rng, params, [13, 7])
-            resp, expected = update_q_z(record, rng.normal(size=k), params)
+            resp, expected = q_z(record, rng.normal(size=k), params)
             for m, bag in enumerate(record.bags):
-                for v in bag:
-                    assert abs(resp[m][v].sum() - 1.0) <= 1e-9
+                assert np.abs(resp[m].sum(axis=0) - 1.0).max() <= 1e-9
                 assert abs(expected[m].sum() - sum(bag.values())) <= 1e-9
 
 
@@ -249,13 +288,47 @@ class TestInferDocument:
         for m, bag in enumerate(record.bags):
             assert abs(post.expected_counts[m].sum() - sum(bag.values())) <= 1e-9
 
-    def test_dict_view_matches_matrices(self, rng):
-        params = random_params(rng, 3, [5])
-        record = random_record(rng, params, [8])
+
+    def test_mode_is_fixed_point_of_the_alternation(self, rng):
+        # at the returned mode, q(z) gives expected counts s whose q(nu)
+        # objective eta(nu)' s - prior has zero gradient: the mode the old
+        # q(z)/q(nu) alternation converged to
+        for _ in range(20):
+            k = int(rng.integers(2, 9))
+            params = random_params(rng, k, [10, 7])
+            record = random_record(rng, params, [int(rng.integers(0, 80)), 9])
+            post = infer_document(record, params)
+            assert post.converged
+            assert np.abs(ModeObjective(record, params).gradient(post.nu_hat)).max() <= 1e-6
+            s = post.expected_counts.sum(axis=0)
+            q_nu_grad = s - s.sum() * softmax(post.nu_hat) - np.linalg.solve(
+                params.sigma0, post.nu_hat - params.mu0
+            )
+            assert np.abs(q_nu_grad).max() <= 1e-6
+
+    def test_float_floor_stop_counts_as_converged(self):
+        # a million-token record: g is near -1e7, so the line search stops on
+        # float rounding with the gradient above Newton's 1e-6 while the step
+        # left is far below tol
+        rng = np.random.default_rng(3)
+        beta = rng.dirichlet(np.full(8, 0.5), size=3)
+        params = make_params(np.zeros(3), np.eye(3), [beta])
+        bag = {v: int(c) * 10**6 for v, c in enumerate(rng.integers(1, 10, size=8))}
+        record = RecordBags("r", (bag,))
         post = infer_document(record, params)
-        view = post.responsibilities
-        for j, v in enumerate(post.token_indices[0]):
-            np.testing.assert_array_equal(view[0][int(v)], post.resp[0][:, j])
+        assert np.abs(ModeObjective(record, params).gradient(post.nu_hat)).max() > 1e-6
+        assert post.converged
+
+    def test_newton_cap_with_large_step_is_unconverged(self, monkeypatch):
+        def one_iteration(f, grad, hess, x0):
+            return maximize_concave(f, grad, hess, x0, NewtonConfig(max_iters=1))
+
+        monkeypatch.setattr(variational, "maximize_concave", one_iteration)
+        beta = np.array([[0.96, 0.02, 0.02], [0.02, 0.02, 0.96]])
+        params = make_params([0.0, 0.0], 4.0 * np.eye(2), [beta])
+        post = infer_document(RecordBags("r", ({0: 40},)), params, nu_init=np.array([-5.0, 5.0]))
+        assert post.iterations == 1
+        assert not post.converged
 
 
 class TestElbo:
@@ -269,33 +342,10 @@ class TestElbo:
         beta = np.array([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]])
         params = make_params([0.0, 0.0], np.eye(2), [beta])
         record = RecordBags("r", ({0: 1, 1: 1, 2: 1},))
-        post = infer_document(record, params, tol=1e-8, max_outer=500)
+        post = infer_document(record, params, tol=1e-8)
         bound = elbo(record, post, params)
         loglik, se = mc_log_likelihood([record.bags[0]], [beta], np.zeros(2), np.eye(2))
         assert bound <= loglik + 3 * se
-
-    def test_ascends_over_first_outer_iterations(self, rng):
-        # soft property: the approximate coordinate updates are not exact
-        # ascent steps, so a small fraction of docs can dip; require the
-        # overwhelming majority of first transitions to climb within slack
-        transitions = 0
-        violations = 0
-        improvements = []
-        for _ in range(40):
-            k = int(rng.integers(2, 6))
-            params = random_params(rng, k, [int(rng.integers(8, 16))], concentration=0.3)
-            record = random_record(rng, params, [int(rng.integers(40, 80))])
-            values = [
-                elbo(record, infer_document(record, params, max_outer=outer), params)
-                for outer in (1, 2, 3)
-            ]
-            for before, after in zip(values, values[1:]):
-                transitions += 1
-                if after < before - 1e-6:
-                    violations += 1
-            improvements.append(values[-1] - values[0])
-        assert violations / transitions <= 0.05
-        assert np.median(improvements) > 0
 
 
 class TestDocPosteriorInvariants:
