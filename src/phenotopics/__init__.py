@@ -27,7 +27,7 @@ from .summarize import (
     summarize_record,
 )
 from .synth import PlantedModel, RecoveryReport, match_phenotypes, recovery_report, sample_corpus
-from .variational import DocPosterior, ModelParams, elbo, infer_document
+from .variational import DocPosterior, ModelParams, infer_document
 
 __all__ = [
     "Corpus",
@@ -47,7 +47,6 @@ __all__ = [
     "correlation_graph",
     "coverage_count",
     "coverage_histogram",
-    "elbo",
     "export_sankey",
     "extract_phenotypes",
     "infer_document",

@@ -8,8 +8,8 @@ the same inputs reproduces the primary outputs byte for byte (the manifest's
 wall time is the only timestamp anywhere).
 
 All randomness flows through --seed. The E-step thread count comes from
---threads, the PHENOTOPICS_THREADS environment variable, or the CPU count, in
-that order; it never changes results, only wall time. ``--config file.json``
+--threads, the PHENOTOPICS_THREADS environment variable, or is 1, in that
+order; it never changes results, only wall time. ``--config file.json``
 supplies defaults for any flag of the invoked subcommand; explicit flags win.
 """
 
@@ -21,6 +21,7 @@ import json
 import os
 import sys
 import time
+import urllib.parse
 
 from . import __version__
 from .corpus import CorpusError, load_corpus, read_records_jsonl
@@ -78,7 +79,7 @@ def _default_threads(value) -> int:
     if value is None:
         value = os.environ.get("PHENOTOPICS_THREADS")
         if not value:
-            return os.cpu_count() or 1
+            return 1
         source = "PHENOTOPICS_THREADS"
     try:
         threads = int(value)
@@ -253,8 +254,11 @@ def cmd_summarize(args) -> int:
     outputs = {}
     for record_id, segments in by_record.items():
         trajectory = summarize_record(segments, model, top_n=args.top_n)
-        csv_path = os.path.join(out, f"trajectory_{record_id}.csv")
-        sankey_path = os.path.join(out, f"sankey_{record_id}.json")
+        # ids may hold any character; the encoding keeps [A-Za-z0-9_.~-] and
+        # is injective, so names stay distinct and inside --out
+        name = urllib.parse.quote(record_id, safe="")
+        csv_path = os.path.join(out, f"trajectory_{name}.csv")
+        sankey_path = os.path.join(out, f"sankey_{name}.json")
         save_trajectory_csv(trajectory, csv_path)
         export_sankey(trajectory, sankey_path)
         outputs[record_id] = {"trajectory": csv_path, "sankey": sankey_path}

@@ -95,12 +95,13 @@ def _validate_record(rec: RecordBags, vocabularies) -> None:
         )
     for vocab, bag in zip(vocabularies, rec.bags):
         for idx, count in bag.items():
-            if not isinstance(idx, int) or not 0 <= idx < vocab.size:
+            # type(...) is int: bool subclasses int but is not a count or index
+            if type(idx) is not int or not 0 <= idx < vocab.size:
                 raise CorpusError(
                     f"record {rec.record_id!r}: token index {idx!r} invalid for "
                     f"type {vocab.type_name!r} (size {vocab.size})"
                 )
-            if not isinstance(count, int) or count < 1:
+            if type(count) is not int or count < 1:
                 raise CorpusError(
                     f"record {rec.record_id!r}: count for token index {idx} of type "
                     f"{vocab.type_name!r} must be a positive integer, got {count!r}"
@@ -148,7 +149,7 @@ def _parse_record(obj, vocabularies, lookups, line_no: int) -> RecordBags:
                 raise CorpusError(
                     f"{where}: unknown token {token!r} for type {vocab.type_name!r}"
                 )
-            if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+            if type(count) is not int or count < 1:
                 raise CorpusError(
                     f"{where}: count for token {token!r} must be a positive integer, "
                     f"got {count!r}"

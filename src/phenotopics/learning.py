@@ -2,10 +2,12 @@
 
 The E-step runs :func:`phenotopics.variational.infer_document` for every
 record (optionally across a thread pool; results are combined in record order
-so thread count never changes the output). The M-step re-estimates the topic
-matrices from count-weighted responsibilities and, by default, moment-matches
-the Gaussian prior to the per-record posteriors. Model files are versioned
-JSON carrying every float at full binary64 precision.
+so thread count never changes the output); each posterior carries its
+record's variational objective, and the EM objective is their sum. The M-step
+re-estimates the topic matrices from count-weighted responsibilities,
+recomputed per record at its mode, and, by default, moment-matches the
+Gaussian prior to the per-record posteriors. Model files are versioned JSON
+carrying every float at full binary64 precision.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .corpus import Corpus, Vocabulary
 from .numerics import is_positive_definite
-from .variational import ModelParams, elbo, infer_document
+from .variational import ModelParams, ModeObjective, infer_document
 
 MODEL_FORMAT_VERSION = 1
 
@@ -113,26 +115,31 @@ def m_step(
     corpus: Corpus,
     posteriors,
     cfg: TrainConfig,
-    current: ModelParams | None = None,
+    current: ModelParams,
 ) -> ModelParams:
     """Closed-form maximizers of the expected complete-data log likelihood.
 
-    beta rows accumulate count-weighted responsibilities plus the smoothing
-    pseudo-count; mu0/sigma0 moment-match the per-record Gaussian posteriors
-    (mean of modes; mean of covariances plus mode scatter). With
-    ``cfg.update_prior`` false the prior is copied from ``current`` instead.
+    ``posteriors`` were inferred under ``current``. beta rows accumulate
+    count-weighted responsibilities plus the smoothing pseudo-count; each
+    record's q(z) columns are recomputed at its mode under ``current``, the
+    same computation (and bits) the E-step made there, so no per-token array
+    outlives a record's inference. mu0/sigma0 moment-match the per-record
+    Gaussian posteriors (mean of modes; mean of covariances plus mode
+    scatter). With ``cfg.update_prior`` false the prior is copied from
+    ``current`` instead.
     """
     if len(posteriors) != corpus.num_records:
         raise ValueError("need exactly one posterior per record")
     k = cfg.K
 
     beta_acc = [np.full((k, vocab.size), cfg.beta_smoothing) for vocab in corpus.vocabularies]
-    for post in posteriors:
-        for m in range(corpus.num_types):
-            idx = post.token_indices[m]
+    for rec, post in zip(corpus.records, posteriors):
+        objective = ModeObjective(rec, current)
+        resp = objective.at(post.nu_hat)[0]
+        for m, (idx, cnt) in enumerate(zip(objective.indices, objective.counts)):
             if idx.size:
                 # distinct indices within one record: fancy += is safe
-                beta_acc[m][:, idx] += post.resp[m] * post.token_counts[m]
+                beta_acc[m][:, idx] += resp[m] * cnt
     log_beta = [np.log(acc / acc.sum(axis=1, keepdims=True)) for acc in beta_acc]
 
     if cfg.update_prior:
@@ -150,8 +157,6 @@ def m_step(
             )
             sigma0 += SIGMA_RIDGE * np.eye(k)
     else:
-        if current is None:
-            raise ValueError("update_prior=False requires the current params")
         mu0, sigma0 = current.mu0, current.sigma0
 
     return ModelParams.create(mu0, sigma0, log_beta)
@@ -174,10 +179,11 @@ def _e_step(corpus, params, cfg, warm_starts, threads):
 def train(corpus: Corpus, cfg: TrainConfig, threads: int = 1) -> TrainedModel:
     """Alternate full-corpus E-steps with M-steps until the objective settles.
 
-    Convergence: relative change of the summed per-record objective falls to
-    ``cfg.em_tol``. Each EM iteration warm-starts every record's mode at its
-    previous value. On convergence the final M-step is skipped so the returned
-    posteriors correspond to the returned params.
+    Convergence: relative change of the summed per-record objective
+    (``DocPosterior.elbo``) falls to ``cfg.em_tol``. Each EM iteration
+    warm-starts every record's mode at its previous value. On convergence the
+    final M-step is skipped so the returned posteriors correspond to the
+    returned params.
     """
     params = initialize(corpus, cfg)
     warm = [params.mu0] * corpus.num_records
@@ -189,9 +195,7 @@ def train(corpus: Corpus, cfg: TrainConfig, threads: int = 1) -> TrainedModel:
     for _ in range(cfg.max_em_iters):
         posteriors = _e_step(corpus, params, cfg, warm, threads)
         warm = [post.nu_hat for post in posteriors]
-        obj = float(
-            sum(elbo(rec, post, params) for rec, post in zip(corpus.records, posteriors))
-        )
+        obj = float(sum(post.elbo for post in posteriors))
         history.append(obj)
         if prev_obj is not None and abs(obj - prev_obj) <= cfg.em_tol * max(1.0, abs(prev_obj)):
             converged = True

@@ -22,7 +22,9 @@ form. The responsibility update evaluates it at the mode (zeroth order; the
 normalizer part cancels there anyway), while the reported variational
 objective adds the second-order Gaussian correction of the logsumexp term,
 without which the objective can exceed the true log evidence and stop being a
-bound.
+bound. At the mode that objective collapses to the Laplace evidence of
+:class:`ModeObjective` (see :func:`infer_document`), so it has no second,
+term-by-term formulation and a posterior keeps no per-token arrays.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 import scipy.linalg
 
 from .corpus import RecordBags
-from .numerics import log_sum_exp, maximize_concave, softmax
+from .numerics import maximize_concave, softmax
 
 
 @dataclass
@@ -100,21 +102,18 @@ class ModelParams:
 class DocPosterior:
     """Laplace-approximate posterior for one record.
 
-    The per-token data lives in aligned arrays: ``token_indices[m]`` holds the
-    distinct token indices of type m, ``token_counts[m]`` their counts and
-    ``resp[m]`` the (K, n_m) q(z) columns; occurrences of the same token share
-    one column because q(z) depends only on token identity.
     ``expected_counts`` is the (M, K) matrix of per-type expected token mass
-    per phenotype. ``iterations`` counts Newton iterations.
+    per phenotype, ``elbo`` the record's variational objective and
+    ``iterations`` the number of Newton iterations. Nothing here grows with
+    the record's length: the q(z) columns are recomputed from the mode when
+    needed (``ModeObjective(record, params).at(nu_hat)``).
     """
 
     nu_hat: np.ndarray
     nu_cov: np.ndarray
-    token_indices: list  # per type, (n_m,) distinct token indices
-    token_counts: list  # per type, (n_m,) counts aligned with token_indices
-    resp: list  # per type, (K, n_m) responsibility columns
     expected_counts: np.ndarray
     proportions: np.ndarray
+    elbo: float
     converged: bool
     iterations: int
 
@@ -229,7 +228,12 @@ class ModeObjective:
         return data + _laplace_hessian(pi, self.n_total, self.params)
 
 
-def _invert_neg_hessian(hessian: np.ndarray) -> np.ndarray:
+def _invert_neg_hessian(hessian: np.ndarray):
+    """Inverse of -hessian and its log determinant, from one Cholesky factor.
+
+    A ridge is added (with a warning) only if -hessian is not numerically
+    positive definite.
+    """
     k = hessian.shape[0]
     ridge = 0.0
     scale = max(1.0, float(np.abs(hessian).max()))
@@ -237,7 +241,8 @@ def _invert_neg_hessian(hessian: np.ndarray) -> np.ndarray:
         try:
             chol = scipy.linalg.cho_factor(-hessian + ridge * np.eye(k), lower=True)
             cov = scipy.linalg.cho_solve(chol, np.eye(k))
-            return 0.5 * (cov + cov.T)
+            logdet_cov = -2.0 * float(np.log(np.diag(chol[0])).sum())
+            return 0.5 * (cov + cov.T), logdet_cov
         except scipy.linalg.LinAlgError:
             ridge = 1e-10 * scale if ridge == 0.0 else ridge * 10.0
             warnings.warn(
@@ -265,79 +270,37 @@ def infer_document(
     returned mode is at most ``tol`` in sup-norm (the float floor of the
     objective can stop the line search first). Deterministic: no randomness
     anywhere in the updates.
+
+    The variational objective E_q[log p(nu, z, x)] + H[q], with the
+    logsumexp(nu) expectation taken to second order at the mode, is
+
+        g(nu_hat) + (K - <-H_L, cov>) / 2 + (log det cov - log det sigma0) / 2,
+
+    with g the :class:`ModeObjective` and H_L the :func:`_laplace_hessian`.
+    The token terms plus the q(z) entropy sum to g's data term, and the
+    curvature correction plus the prior's trace term sum to <-H_L, cov> / 2,
+    which is K / 2 unless a ridge repaired the covariance.
     """
     objective = ModeObjective(record, params)
     nu0 = np.array(params.mu0 if nu_init is None else nu_init, dtype=float)
     result = maximize_concave(objective.value, objective.gradient, objective.hessian, nu0)
     nu_hat = result.x
-    resp, expected, _, pi, _ = objective.at(nu_hat)
-    nu_cov = _invert_neg_hessian(_laplace_hessian(pi, objective.n_total, params))
+    _, expected, _, pi, _ = objective.at(nu_hat)
+    hessian = _laplace_hessian(pi, objective.n_total, params)
+    nu_cov, logdet_cov = _invert_neg_hessian(hessian)
+    _, logdet_prior = np.linalg.slogdet(params.sigma0)
+    elbo = (
+        objective.value(nu_hat)
+        + 0.5 * (params.num_phenotypes + float(np.sum(hessian * nu_cov)))
+        + 0.5 * (logdet_cov - logdet_prior)
+    )
 
     return DocPosterior(
         nu_hat=nu_hat,
         nu_cov=nu_cov,
-        token_indices=objective.indices,
-        token_counts=objective.counts,
-        resp=resp,
         expected_counts=expected,
         proportions=softmax(nu_hat),
+        elbo=elbo,
         converged=result.converged or result.step_norm <= tol,
         iterations=result.iterations,
     )
-
-
-def elbo(record: RecordBags, posterior: DocPosterior, params: ModelParams) -> float:
-    """Variational objective E_q[log p(nu, z, x)] + H[q] for one record.
-
-    The Gaussian entropy and prior cross-entropy are exact. The expectation of
-    logsumexp(nu) uses its second-order expansion at the mode,
-    ``logsumexp(nu_hat) + tr((diag(pi) - pi pi') cov) / 2``; the zeroth-order
-    version overshoots the log evidence (see module note). Used as a
-    convergence diagnostic; per-record convergence itself is declared by the
-    Newton solve in :func:`infer_document`.
-    """
-    k = params.num_phenotypes
-    nu_hat, nu_cov = posterior.nu_hat, posterior.nu_cov
-    if nu_hat.shape != (k,):
-        raise ValueError("posterior dimension does not match params")
-    if len(record.bags) != params.num_types:
-        raise ValueError("record has a different number of types than the model")
-    for bag, cnt in zip(record.bags, posterior.token_counts):
-        if len(bag) != cnt.size or sum(bag.values()) != cnt.sum():
-            raise ValueError("posterior was not computed for this record")
-    centered = nu_hat - params.mu0
-
-    sign, logdet_prior = np.linalg.slogdet(params.sigma0)
-    if sign <= 0:
-        raise ValueError("sigma0 must be positive definite")
-    e_log_prior = -0.5 * (
-        k * np.log(2.0 * np.pi)
-        + logdet_prior
-        + float(np.sum(params.sigma0_inv * nu_cov))
-        + float(centered @ params.sigma0_inv @ centered)
-    )
-
-    s = posterior.expected_counts.sum(axis=0)
-    pi_hat = softmax(nu_hat)
-    lse_correction = 0.5 * float(np.sum((np.diag(pi_hat) - np.outer(pi_hat, pi_hat)) * nu_cov))
-    e_eta = nu_hat - (log_sum_exp(nu_hat) + lse_correction)
-    e_log_assign = float(e_eta @ s)
-
-    e_log_tokens = 0.0
-    entropy_z = 0.0
-    for m in range(params.num_types):
-        idx = posterior.token_indices[m]
-        if idx.size == 0:
-            continue
-        cnt = posterior.token_counts[m]
-        q = posterior.resp[m]
-        e_log_tokens += float(cnt @ (q * params.log_beta[m][:, idx]).sum(axis=0))
-        qlogq = np.where(q > 0.0, q * np.log(np.where(q > 0.0, q, 1.0)), 0.0)
-        entropy_z -= float(cnt @ qlogq.sum(axis=0))
-
-    sign, logdet_cov = np.linalg.slogdet(nu_cov)
-    if sign <= 0:
-        raise ValueError("posterior covariance must be positive definite")
-    entropy_nu = 0.5 * (k * (np.log(2.0 * np.pi) + 1.0) + logdet_cov)
-
-    return e_log_prior + e_log_assign + e_log_tokens + entropy_nu + entropy_z

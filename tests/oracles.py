@@ -114,3 +114,47 @@ def scan_coverage_count(proportions, mass):
         if acc >= mass - 1e-12:
             return i
     return len(ordered)
+
+
+def term_by_term_elbo(record, posterior, params):
+    """Variational objective E_q[log p(nu, z, x)] + H[q] of one record, term by term.
+
+    q(z) is the per-token softmax of nu_hat + log_beta at the posterior mode,
+    q(nu) = N(nu_hat, nu_cov). The Gaussian entropy and prior cross-entropy
+    are exact; E[logsumexp(nu)] uses its second-order expansion at the mode,
+    logsumexp(nu_hat) + tr((diag(pi) - pi pi') cov) / 2.
+    """
+    k = params.mu0.size
+    nu_hat, nu_cov = posterior.nu_hat, posterior.nu_cov
+    centered = nu_hat - params.mu0
+    sigma0_inv = np.linalg.inv(params.sigma0)
+    _, logdet_prior = np.linalg.slogdet(params.sigma0)
+    e_log_prior = -0.5 * (
+        k * np.log(2.0 * np.pi)
+        + logdet_prior
+        + float(np.sum(sigma0_inv * nu_cov))
+        + float(centered @ sigma0_inv @ centered)
+    )
+
+    top = nu_hat.max()
+    pi = np.exp(nu_hat - top) / np.exp(nu_hat - top).sum()
+    lse = top + np.log(np.exp(nu_hat - top).sum())
+    correction = 0.5 * float(np.sum((np.diag(pi) - np.outer(pi, pi)) * nu_cov))
+    e_eta = nu_hat - (lse + correction)
+
+    e_log_assign = e_log_tokens = entropy_z = 0.0
+    for bag, log_beta in zip(record.bags, params.log_beta):
+        for v, count in bag.items():
+            logits = nu_hat + log_beta[:, v]
+            q = np.exp(logits - logits.max())
+            q /= q.sum()
+            e_log_assign += count * float(q @ e_eta)
+            e_log_tokens += count * float(q @ log_beta[:, v])
+            positive = q > 0.0
+            entropy_z -= count * float(q[positive] @ np.log(q[positive]))
+
+    sign, logdet_cov = np.linalg.slogdet(nu_cov)
+    if sign <= 0:
+        raise ValueError("posterior covariance must be positive definite")
+    entropy_nu = 0.5 * (k * (np.log(2.0 * np.pi) + 1.0) + logdet_cov)
+    return e_log_prior + e_log_assign + e_log_tokens + entropy_nu + entropy_z

@@ -182,9 +182,10 @@ def test_criterion_06_normalization_and_conservation():
         for rec, w in zip(corpus.records, warm):
             post = infer_document(rec, params, tol=cfg.doc_tol, nu_init=w)
             posts.append(post)
+            resp = ModeObjective(rec, params).at(post.nu_hat)[0]
             for m, bag in enumerate(rec.bags):
-                if post.token_indices[m].size:
-                    sums = post.resp[m].sum(axis=0)
+                if bag:
+                    sums = resp[m].sum(axis=0)
                     worst_resp = max(worst_resp, float(np.abs(sums - 1.0).max()))
                 worst_conserve = max(
                     worst_conserve,

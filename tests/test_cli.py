@@ -250,6 +250,24 @@ class TestSummarize:
         manifest = json.loads((out / "manifest.json").read_text())
         assert "p1" in manifest["outputs"]
 
+    def test_record_id_cannot_leave_out_dir(self, trained, tmp_path):
+        record_file = self.write_segments(
+            tmp_path, [{"id": "../../escape", "bags": {"dx": {"w0": 2}}}]
+        )
+        out = tmp_path / "deep" / "sum"
+        code = main(
+            ["summarize", "--model", str(trained / "model.json"),
+             "--record-file", str(record_file), "--out", str(out)]
+        )
+        assert code == 0
+        written = json.loads((out / "manifest.json").read_text())["outputs"]["../../escape"]
+        for path in written.values():
+            assert (out / path).resolve().parent == out.resolve()
+            assert (out / path).is_file()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "sankey_..%2F..%2Fescape.json", "trajectory_..%2F..%2Fescape.csv"
+        ]
+
     def test_default_top_n_is_five(self, trained, tmp_path):
         record_file = self.write_segments(
             tmp_path, [{"id": "p1", "bags": {"dx": {"w0": 2}}}]
@@ -404,6 +422,16 @@ class TestMisc:
         monkeypatch.setenv("PHENOTOPICS_THREADS", "0")
         assert main(base) == 1
         assert not (tmp_path / "o").exists()
+
+    def test_thread_count_defaults_to_one(self, monkeypatch):
+        from phenotopics.cli import _default_threads
+
+        monkeypatch.setattr("os.cpu_count", lambda: 8)
+        monkeypatch.delenv("PHENOTOPICS_THREADS", raising=False)
+        assert _default_threads(None) == 1
+        monkeypatch.setenv("PHENOTOPICS_THREADS", "3")
+        assert _default_threads(None) == 3
+        assert _default_threads(2) == 2
 
     def test_env_thread_count_used(self, corpus_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("PHENOTOPICS_THREADS", "2")

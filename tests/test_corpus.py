@@ -115,10 +115,31 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match="positive integer"):
             load_corpus(path)
 
+    def test_boolean_count_rejected(self, tmp_path):
+        path = write_corpus_dir(
+            tmp_path, {"dx": ["a"]}, [{"id": "p1", "bags": {"dx": {"a": True}}}]
+        )
+        with pytest.raises(CorpusError, match="positive integer"):
+            load_corpus(path)
+
     def test_duplicate_vocab_tokens_rejected(self, tmp_path):
         path = write_corpus_dir(tmp_path, {"dx": ["a", "a"]}, [{"id": "p1", "bags": {}}])
         with pytest.raises(CorpusError, match="duplicate tokens"):
             load_corpus(path)
+
+
+class TestCorpusValidation:
+    """A Corpus built in memory obeys the file parser's count and index rules."""
+
+    VOCABS = (Vocabulary("dx", ("a", "b")),)
+
+    def test_boolean_count_rejected(self):
+        with pytest.raises(CorpusError, match="positive integer"):
+            Corpus(vocabularies=self.VOCABS, records=(RecordBags("r", ({0: True, 1: 2},)),))
+
+    def test_boolean_token_index_rejected(self):
+        with pytest.raises(CorpusError, match="token index True"):
+            Corpus(vocabularies=self.VOCABS, records=(RecordBags("r", ({True: 1},)),))
 
 
 class TestSaveCorpus:

@@ -45,19 +45,21 @@ def tiny_corpus(num_types=1, vocab_size=4, num_records=3):
     return Corpus(vocabularies=vocabs, records=tuple(records))
 
 
-def manual_posterior(nu_hat, nu_cov, indices, counts, resp):
-    expected = np.stack([r @ c for r, c in zip(resp, counts)])
+def manual_posterior(nu_hat, nu_cov, expected):
     return DocPosterior(
         nu_hat=np.asarray(nu_hat, dtype=float),
         nu_cov=np.asarray(nu_cov, dtype=float),
-        token_indices=[np.asarray(i, dtype=np.intp) for i in indices],
-        token_counts=[np.asarray(c, dtype=float) for c in counts],
-        resp=[np.asarray(r, dtype=float) for r in resp],
-        expected_counts=expected,
+        expected_counts=np.asarray(expected, dtype=float),
         proportions=np.full(len(nu_hat), 1.0 / len(nu_hat)),
+        elbo=0.0,
         converged=True,
         iterations=1,
     )
+
+
+# q(z) at nu = 0 is the column of beta normalized over phenotypes, so a
+# probability of 1e-300 against 0.5 or more assigns a token wholly elsewhere.
+TINY = 1e-300
 
 
 class TestTrainConfig:
@@ -109,16 +111,16 @@ class TestMStep:
         rec1 = RecordBags("r1", ({0: 2, 1: 2},))
         rec2 = RecordBags("r2", ({2: 1, 3: 3},))
         corpus = Corpus(vocabularies=(vocab,), records=(rec1, rec2))
+        # records 1 and 2 assign every token to phenotype 0 and 1 respectively
+        current = make_params(
+            [0.0, 0.0], np.eye(2), [[[0.5, 0.5, TINY, TINY], [TINY, TINY, 0.5, 0.5]]]
+        )
         posts = [
-            manual_posterior(
-                np.zeros(2), np.eye(2), [[0, 1]], [[2.0, 2.0]], [np.array([[1.0, 1.0], [0.0, 0.0]])]
-            ),
-            manual_posterior(
-                np.zeros(2), np.eye(2), [[2, 3]], [[1.0, 3.0]], [np.array([[0.0, 0.0], [1.0, 1.0]])]
-            ),
+            manual_posterior(np.zeros(2), np.eye(2), [[4.0, 0.0]]),
+            manual_posterior(np.zeros(2), np.eye(2), [[0.0, 4.0]]),
         ]
         cfg = TrainConfig(K=2, beta_smoothing=1e-12)
-        params = m_step(corpus, posts, cfg)
+        params = m_step(corpus, posts, cfg, current=current)
         beta = np.exp(params.log_beta[0])
         np.testing.assert_allclose(beta[0], [0.5, 0.5, 0.0, 0.0], atol=1e-9)
         np.testing.assert_allclose(beta[1], [0.0, 0.0, 0.25, 0.75], atol=1e-9)
@@ -128,24 +130,21 @@ class TestMStep:
         vocab = Vocabulary("dx", ("a", "b"))
         rec = RecordBags("r1", ({0: 2, 1: 6},))
         corpus = Corpus(vocabularies=(vocab,), records=(rec,))
-        resp = np.array([[1.0, 2 / 6], [0.0, 4 / 6]])
-        posts = [manual_posterior(np.zeros(2), np.eye(2), [[0, 1]], [[2.0, 6.0]], [resp])]
-        params = m_step(corpus, posts, TrainConfig(K=2, beta_smoothing=1e-12))
+        # q(z) columns at nu = 0: token a (1, 0), token b (1/3, 2/3)
+        current = make_params([0.0, 0.0], np.eye(2), [[[0.5, 0.5], [TINY, 1.0]]])
+        posts = [manual_posterior(np.zeros(2), np.eye(2), [[4.0, 4.0]])]
+        params = m_step(corpus, posts, TrainConfig(K=2, beta_smoothing=1e-12), current=current)
         beta = np.exp(params.log_beta[0])
         np.testing.assert_allclose(beta[0], [0.5, 0.5], atol=1e-9)
         np.testing.assert_allclose(beta[1], [0.0, 1.0], atol=1e-9)
 
     def test_moment_matching_identity(self):
         corpus = tiny_corpus(num_records=4)
+        cfg = TrainConfig(K=2)
         posts = [
-            manual_posterior(
-                np.zeros(2), np.eye(2), [list(r.bags[0])],
-                [[float(c) for c in r.bags[0].values()]],
-                [np.full((2, len(r.bags[0])), 0.5)],
-            )
-            for r in corpus.records
+            manual_posterior(np.zeros(2), np.eye(2), [[3.0, 3.0]]) for _ in corpus.records
         ]
-        params = m_step(corpus, posts, TrainConfig(K=2))
+        params = m_step(corpus, posts, cfg, current=initialize(corpus, cfg))
         np.testing.assert_allclose(params.mu0, np.zeros(2), atol=1e-12)
         np.testing.assert_allclose(params.sigma0, np.eye(2), atol=1e-12)
 
@@ -171,8 +170,9 @@ class TestMStep:
 
     def test_posterior_count_mismatch_rejected(self):
         corpus = tiny_corpus(num_records=3)
+        cfg = TrainConfig(K=2)
         with pytest.raises(ValueError, match="one posterior per record"):
-            m_step(corpus, [], TrainConfig(K=2))
+            m_step(corpus, [], cfg, current=initialize(corpus, cfg))
 
 
 class TestTrain:

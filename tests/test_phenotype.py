@@ -35,11 +35,9 @@ def posterior_with_proportions(p):
     return DocPosterior(
         nu_hat=np.log(np.maximum(p, 1e-300)),
         nu_cov=np.eye(k),
-        token_indices=[],
-        token_counts=[],
-        resp=[],
         expected_counts=np.zeros((0, k)),
         proportions=p,
+        elbo=0.0,
         converged=True,
         iterations=1,
     )

@@ -1,4 +1,4 @@
-"""Per-record inference: the mode objective and its derivatives, q(nu), q(z), elbo."""
+"""Per-record inference: the mode objective and its derivatives, q(nu), q(z), the ELBO."""
 
 import math
 
@@ -14,7 +14,6 @@ from phenotopics.variational import (
     _bag_arrays,
     _laplace_hessian,
     _responsibilities,
-    elbo,
     infer_document,
 )
 
@@ -24,6 +23,7 @@ from .oracles import (
     fd_jacobian,
     finite_difference_gradient,
     mc_log_likelihood,
+    term_by_term_elbo,
 )
 
 
@@ -334,16 +334,26 @@ class TestInferDocument:
 class TestElbo:
     def test_empty_record_is_zero(self, rng):
         params = random_params(rng, 3, [4])
-        record = RecordBags("r", ({},))
-        post = infer_document(record, params)
-        assert elbo(record, post, params) == pytest.approx(0.0, abs=1e-9)
+        post = infer_document(RecordBags("r", ({},)), params)
+        assert post.elbo == pytest.approx(0.0, abs=1e-9)
+
+    def test_matches_term_by_term_expansion(self, rng):
+        worst = 0.0
+        for k in (2, 5, 25):
+            for _ in range(10):
+                params = random_params(rng, k, [9, 5, 3])
+                record = random_record(rng, params, [int(n) for n in rng.integers(0, 40, 3)])
+                post = infer_document(record, params, nu_init=rng.normal(size=k))
+                reference = term_by_term_elbo(record, post, params)
+                worst = max(worst, abs(post.elbo - reference) / max(1.0, abs(reference)))
+        assert worst <= 1e-12
 
     def test_below_monte_carlo_log_likelihood(self):
         beta = np.array([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]])
         params = make_params([0.0, 0.0], np.eye(2), [beta])
         record = RecordBags("r", ({0: 1, 1: 1, 2: 1},))
         post = infer_document(record, params, tol=1e-8)
-        bound = elbo(record, post, params)
+        bound = post.elbo
         loglik, se = mc_log_likelihood([record.bags[0]], [beta], np.zeros(2), np.eye(2))
         assert bound <= loglik + 3 * se
 
@@ -362,3 +372,11 @@ class TestDocPosteriorInvariants:
         record = random_record(rng, params, [10])
         post = infer_document(record, params)
         np.testing.assert_array_equal(post.proportions, softmax(post.nu_hat))
+
+    def test_size_does_not_grow_with_record_length(self, rng):
+        params = random_params(rng, 4, [2000])
+        sizes = []
+        for n_tokens in (10, 1000):
+            post = infer_document(random_record(rng, params, [n_tokens]), params)
+            sizes.append(sum(v.nbytes for v in vars(post).values() if isinstance(v, np.ndarray)))
+        assert sizes[0] == sizes[1]
