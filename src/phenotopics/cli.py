@@ -30,7 +30,6 @@ from .learning import (
     ModelFormatError,
     TrainConfig,
     attach_posteriors,
-    check_compatible,
     load_model,
     save_model,
     train,
@@ -221,26 +220,8 @@ def cmd_summarize(args) -> int:
         raise _CliError(EXIT_ARGS, "--top-n must be >= 1")
     model = _load_model_or_die(args.model)
 
-    vocabularies = model.vocabularies
-    if args.vocab:
-        from .corpus import Vocabulary
-
-        try:
-            with open(args.vocab, encoding="utf-8") as fh:
-                raw = json.load(fh)
-            vocabularies = tuple(
-                Vocabulary(type_name=name, tokens=tuple(tokens))
-                for name, tokens in raw.items()
-            )
-        except (OSError, json.JSONDecodeError, TypeError, CorpusError) as exc:
-            raise _CliError(EXIT_IO, f"cannot load vocabulary file: {exc}")
-        try:
-            check_compatible(model, vocabularies)
-        except FingerprintError as exc:
-            raise _CliError(EXIT_INCOMPATIBLE, str(exc))
-
     try:
-        records = read_records_jsonl(args.record_file, vocabularies)
+        records = read_records_jsonl(args.record_file, model.vocabularies)
     except FileNotFoundError as exc:
         raise _CliError(EXIT_IO, f"cannot read record file: {exc}")
     except CorpusError as exc:
@@ -287,9 +268,6 @@ def cmd_eval(args) -> int:
             raise _CliError(EXIT_ARGS, f"invalid scenario: {exc}")
     else:
         raise _CliError(EXIT_ARGS, "provide --preset or --scenario")
-    if args.k is not None and args.k != scenario.K:
-        # recovery matches learned to planted phenotypes one to one
-        raise _CliError(EXIT_ARGS, f"--k {args.k} differs from the scenario's K={scenario.K}")
     try:
         cfg = TrainConfig(
             K=scenario.K, seed=args.seed, max_em_iters=args.max_em_iters, em_tol=args.em_tol
@@ -403,8 +381,6 @@ def build_parser():
                        help="salience trajectories for segmented records")
     p.add_argument("--model")
     p.add_argument("--record-file", help="segmented records.jsonl")
-    p.add_argument("--vocab", help="vocabulary JSON the records reference "
-                   "(defaults to the model's own; checked by fingerprint)")
     p.add_argument("--top-n", type=int, default=5)
     p.set_defaults(func=cmd_summarize)
     commands["summarize"] = p
@@ -412,8 +388,6 @@ def build_parser():
     p = sub.add_parser("eval", parents=[common], help="synthetic recovery evaluation")
     p.add_argument("--preset", help="named scenario preset")
     p.add_argument("--scenario", help="scenario JSON file")
-    p.add_argument("--k", type=int, default=None,
-                   help="number of phenotypes; must equal the scenario's K")
     p.add_argument("--seed", type=int)
     p.add_argument("--max-em-iters", type=int, default=200)
     p.add_argument("--em-tol", type=float, default=1e-5)

@@ -21,6 +21,10 @@ from dataclasses import dataclass
 VOCAB_FILENAME = "vocab.json"
 RECORDS_FILENAME = "records.jsonl"
 
+# Largest token count: inference computes in binary64 floats, which hold every
+# integer up to 2**53 exactly.
+MAX_COUNT = 2**53
+
 
 class CorpusError(ValueError):
     """Malformed or inconsistent corpus data; message carries the location."""
@@ -88,6 +92,11 @@ class Corpus:
             _validate_record(rec, self.vocabularies)
 
 
+def _is_count(value) -> bool:
+    """A token count: an int in [1, MAX_COUNT] (bool subclasses int but is not one)."""
+    return type(value) is int and 1 <= value <= MAX_COUNT
+
+
 def _validate_record(rec: RecordBags, vocabularies) -> None:
     if len(rec.bags) != len(vocabularies):
         raise CorpusError(
@@ -101,10 +110,11 @@ def _validate_record(rec: RecordBags, vocabularies) -> None:
                     f"record {rec.record_id!r}: token index {idx!r} invalid for "
                     f"type {vocab.type_name!r} (size {vocab.size})"
                 )
-            if type(count) is not int or count < 1:
+            if not _is_count(count):
                 raise CorpusError(
                     f"record {rec.record_id!r}: count for token index {idx} of type "
-                    f"{vocab.type_name!r} must be a positive integer, got {count!r}"
+                    f"{vocab.type_name!r} must be a positive integer up to 2**53, "
+                    f"got {count!r}"
                 )
 
 
@@ -149,10 +159,10 @@ def _parse_record(obj, vocabularies, lookups, line_no: int) -> RecordBags:
                 raise CorpusError(
                     f"{where}: unknown token {token!r} for type {vocab.type_name!r}"
                 )
-            if type(count) is not int or count < 1:
+            if not _is_count(count):
                 raise CorpusError(
-                    f"{where}: count for token {token!r} must be a positive integer, "
-                    f"got {count!r}"
+                    f"{where}: count for token {token!r} must be a positive integer "
+                    f"up to 2**53, got {count!r}"
                 )
             bag[lookup[token]] = count
         bags.append(bag)
@@ -177,6 +187,8 @@ def read_records_jsonl(path, vocabularies) -> tuple:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"records line {line_no}: invalid JSON ({exc.msg})") from exc
+            except ValueError as exc:  # an integer literal too long to convert
+                raise CorpusError(f"records line {line_no}: {exc}") from exc
             rec = _parse_record(obj, vocabularies, lookups, line_no)
             key = (rec.record_id, rec.time_bin)
             if key in seen:

@@ -21,13 +21,10 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .corpus import Corpus, Vocabulary
-from .numerics import is_positive_definite
+from .numerics import ridged_cholesky
 from .variational import ModelParams, ModeObjective, infer_document
 
 MODEL_FORMAT_VERSION = 1
-
-# Ridge used to repair a prior covariance estimate that lost definiteness.
-SIGMA_RIDGE = 1e-6
 
 
 class ModelFormatError(ValueError):
@@ -149,13 +146,14 @@ def m_step(
         sigma0 = sum(post.nu_cov for post in posteriors) / len(posteriors)
         sigma0 += centered.T @ centered / len(posteriors)
         sigma0 = 0.5 * (sigma0 + sigma0.T)
-        if not is_positive_definite(sigma0):
+        _, ridge = ridged_cholesky(sigma0)
+        if ridge:
             warnings.warn(
-                f"estimated prior covariance lost definiteness; adding ridge {SIGMA_RIDGE:g}",
+                f"estimated prior covariance lost definiteness; repaired with ridge {ridge:g}",
                 RuntimeWarning,
                 stacklevel=2,
             )
-            sigma0 += SIGMA_RIDGE * np.eye(k)
+            sigma0 += ridge * np.eye(k)
     else:
         mu0, sigma0 = current.mu0, current.sigma0
 

@@ -1,4 +1,4 @@
-"""Shared numerical kernels: stable softmax, damped Newton ascent, PD check."""
+"""Shared numerical kernels: stable softmax, damped Newton ascent, PD check and repair."""
 
 from __future__ import annotations
 
@@ -45,29 +45,18 @@ def is_positive_definite(matrix: np.ndarray) -> bool:
         return False
 
 
-@dataclass(frozen=True)
-class NewtonConfig:
-    """Knobs for the damped Newton ascent in :func:`maximize_concave`."""
-
-    max_iters: int = 100
-    grad_tol: float = 1e-6
-    step_shrink: float = 0.5
-    min_step: float = 1e-12
-    hessian_damping: float = 1e-8
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
-        if not 0.0 < self.step_shrink < 1.0:
-            raise ValueError("step_shrink must lie in (0, 1)")
+# Damped Newton ascent in :func:`maximize_concave`: iteration budget, gradient
+# sup-norm tolerance, and the backtracking line search's shrink factor and
+# smallest step fraction.
+NEWTON_MAX_ITERS = 100
+NEWTON_GRAD_TOL = 1e-6
+LINE_SEARCH_SHRINK = 0.5
+LINE_SEARCH_MIN_STEP = 1e-12
 
 
 @dataclass
 class NewtonResult:
     x: np.ndarray
-    hessian: np.ndarray
     converged: bool
     iterations: int
     grad_norm: float
@@ -76,22 +65,29 @@ class NewtonResult:
     objective_trace: list = field(default_factory=list)
 
 
-def _damped_newton_step(hessian: np.ndarray, grad: np.ndarray, damping0: float) -> np.ndarray:
-    """Solve -(H - lam*I) step = grad, growing lam until the system is PD.
+def ridged_cholesky(matrix: np.ndarray):
+    """Cholesky factor of ``matrix + ridge * I`` with the smallest ridge that works.
 
-    A PD system guarantees grad . step > 0, i.e. an ascent direction.
+    The one positive-definite repair: tries ridge 0, then 1e-8, 1e-7, ...
+    (times 10 per rung) up to 1e8 * max(1, max|matrix|). Returns the
+    ``scipy.linalg.cho_factor`` pair (lower triangle) and the ridge used.
+
+    Raises
+    ------
+    NonFiniteError
+        If ``matrix`` holds a non-finite entry or no ridge on the ladder helps.
     """
-    k = grad.size
-    lam = 0.0
-    scale = max(1.0, float(np.abs(hessian).max()))
+    matrix = _require_finite(np.asarray(matrix, dtype=float), "matrix to factor")
+    ridge = 0.0
+    limit = 1e8 * max(1.0, float(np.abs(matrix).max()))
     while True:
+        shifted = matrix + ridge * np.eye(matrix.shape[0]) if ridge else matrix
         try:
-            chol = scipy.linalg.cho_factor(-(hessian - lam * np.eye(k)), lower=True)
-            return scipy.linalg.cho_solve(chol, grad)
+            return scipy.linalg.cho_factor(shifted, lower=True, check_finite=False), ridge
         except scipy.linalg.LinAlgError:
-            lam = damping0 if lam == 0.0 else lam * 10.0
-            if lam > 1e8 * scale:
-                raise NonFiniteError("Hessian damping diverged; Hessian is likely non-finite")
+            ridge = 1e-8 if ridge == 0.0 else ridge * 10.0
+            if ridge > limit:
+                raise NonFiniteError("ridge repair diverged; the matrix is likely non-finite")
 
 
 def maximize_concave(
@@ -99,27 +95,31 @@ def maximize_concave(
     grad: Callable[[np.ndarray], np.ndarray],
     hess: Callable[[np.ndarray], np.ndarray],
     x0,
-    config: NewtonConfig | None = None,
 ) -> NewtonResult:
     """Damped Newton ascent with backtracking line search.
 
     The objective need not be concave: where the Hessian is not negative
-    definite, the step solves a system damped by a growing multiple of the
-    identity until it is, which still gives an ascent direction. Stops when
-    the sup-norm of the gradient drops to ``config.grad_tol`` or the
-    iteration budget runs out; every accepted step strictly increases ``f``,
-    so the method also terminates (status ``line_search_failure``) where it
-    can no longer improve ``f`` in floating point, returning the best iterate
-    seen. ``step_norm`` is the sup-norm of the (damped) Newton step left at
-    that iterate, an estimate of its distance to a stationary point.
-    The returned Hessian is the exact (undamped) Hessian at the final iterate.
+    definite, the step solves the system ridged by :func:`ridged_cholesky`,
+    which still gives an ascent direction. Stops when the sup-norm of the
+    gradient drops to ``NEWTON_GRAD_TOL`` or after ``NEWTON_MAX_ITERS``
+    iterations; the line search halves the step (``LINE_SEARCH_SHRINK``)
+    down to ``LINE_SEARCH_MIN_STEP``. Every accepted step strictly increases
+    ``f``, so the method also terminates (status ``line_search_failure``)
+    where it can no longer improve ``f`` in floating point, returning the
+    best iterate seen. ``step_norm`` is the sup-norm of the (damped) Newton
+    step left at that iterate, an estimate of its distance to a stationary
+    point.
 
     Raises
     ------
     NonFiniteError
         If the objective or gradient is non-finite at an accepted iterate.
     """
-    cfg = config if config is not None else NewtonConfig()
+
+    def newton_step(x, g):
+        chol, _ = ridged_cholesky(-np.asarray(hess(x), dtype=float))
+        return scipy.linalg.cho_solve(chol, g)
+
     x = np.array(x0, dtype=float)
     fx = float(f(x))
     if not np.isfinite(fx):
@@ -132,24 +132,24 @@ def maximize_concave(
     if not np.all(np.isfinite(g)):
         raise NonFiniteError(f"non-finite gradient at iterate {x!r}")
 
-    for iterations in range(1, cfg.max_iters + 1):
+    for iterations in range(1, NEWTON_MAX_ITERS + 1):
         gnorm = float(np.abs(g).max())
-        if gnorm <= cfg.grad_tol:
+        if gnorm <= NEWTON_GRAD_TOL:
             converged = True
             status = "converged"
             iterations -= 1
             break
-        step = _damped_newton_step(np.asarray(hess(x), dtype=float), g, cfg.hessian_damping)
+        step = newton_step(x, g)
 
         t = 1.0
         accepted = False
-        while t >= cfg.min_step:
+        while t >= LINE_SEARCH_MIN_STEP:
             x_new = x + t * step
             f_new = float(f(x_new))
             if np.isfinite(f_new) and f_new > fx:
                 accepted = True
                 break
-            t *= cfg.step_shrink
+            t *= LINE_SEARCH_SHRINK
         if not accepted:
             status = "line_search_failure"
             break
@@ -161,15 +161,13 @@ def maximize_concave(
             raise NonFiniteError(f"non-finite gradient at iterate {x!r}")
 
     gnorm = float(np.abs(g).max())
-    if gnorm <= cfg.grad_tol:
+    if gnorm <= NEWTON_GRAD_TOL:
         converged = True
         status = "converged"
-    hessian = np.asarray(hess(x), dtype=float)
     if status == "max_iters":  # the last step computed was taken; x needs its own
-        step = _damped_newton_step(hessian, g, cfg.hessian_damping)
+        step = newton_step(x, g)
     return NewtonResult(
         x=x,
-        hessian=hessian,
         converged=converged,
         iterations=iterations,
         grad_norm=gnorm,

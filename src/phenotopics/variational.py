@@ -36,7 +36,12 @@ import numpy as np
 import scipy.linalg
 
 from .corpus import RecordBags
-from .numerics import maximize_concave, softmax
+from .numerics import maximize_concave, ridged_cholesky
+
+
+def _logdet(chol) -> float:
+    """log det A from A's ``cho_factor`` pair."""
+    return 2.0 * float(np.log(np.diag(chol[0])).sum())
 
 
 @dataclass
@@ -45,12 +50,14 @@ class ModelParams:
 
     ``log_beta[m]`` has shape (K, V_m); each row of ``exp(log_beta[m])`` is a
     distribution over type m's vocabulary. ``sigma0_inv`` is cached because the
-    per-record objective evaluates the prior quadratic form many times.
+    per-record objective evaluates the prior quadratic form many times, and
+    ``sigma0_logdet`` (log det sigma0) because every record's objective needs it.
     """
 
     mu0: np.ndarray
     sigma0: np.ndarray
     sigma0_inv: np.ndarray
+    sigma0_logdet: float
     log_beta: list
 
     @property
@@ -65,8 +72,8 @@ class ModelParams:
     def create(cls, mu0, sigma0, log_beta) -> "ModelParams":
         """Build params from mu0, sigma0 and per-type log topic matrices.
 
-        Computes the cached inverse via Cholesky, which doubles as the
-        positive-definiteness check on sigma0.
+        Computes the cached inverse and log determinant from one Cholesky
+        factor, which doubles as the positive-definiteness check on sigma0.
         """
         mu0 = np.asarray(mu0, dtype=float)
         sigma0 = np.asarray(sigma0, dtype=float)
@@ -78,7 +85,13 @@ class ModelParams:
         sigma0_inv = scipy.linalg.cho_solve(chol, np.eye(mu0.shape[0]))
         sigma0_inv = 0.5 * (sigma0_inv + sigma0_inv.T)
         log_beta = [np.asarray(lb, dtype=float) for lb in log_beta]
-        params = cls(mu0=mu0, sigma0=sigma0, sigma0_inv=sigma0_inv, log_beta=log_beta)
+        params = cls(
+            mu0=mu0,
+            sigma0=sigma0,
+            sigma0_inv=sigma0_inv,
+            sigma0_logdet=_logdet(chol),
+            log_beta=log_beta,
+        )
         params.validate()
         return params
 
@@ -231,27 +244,18 @@ class ModeObjective:
 def _invert_neg_hessian(hessian: np.ndarray):
     """Inverse of -hessian and its log determinant, from one Cholesky factor.
 
-    A ridge is added (with a warning) only if -hessian is not numerically
-    positive definite.
+    A ridge is added (with one warning naming it) only if -hessian is not
+    numerically positive definite.
     """
-    k = hessian.shape[0]
-    ridge = 0.0
-    scale = max(1.0, float(np.abs(hessian).max()))
-    while True:
-        try:
-            chol = scipy.linalg.cho_factor(-hessian + ridge * np.eye(k), lower=True)
-            cov = scipy.linalg.cho_solve(chol, np.eye(k))
-            logdet_cov = -2.0 * float(np.log(np.diag(chol[0])).sum())
-            return 0.5 * (cov + cov.T), logdet_cov
-        except scipy.linalg.LinAlgError:
-            ridge = 1e-10 * scale if ridge == 0.0 else ridge * 10.0
-            warnings.warn(
-                f"negated Hessian not positive definite; repairing with ridge {ridge:g}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            if ridge > 1e6 * scale:
-                raise
+    chol, ridge = ridged_cholesky(-hessian)
+    if ridge:
+        warnings.warn(
+            f"negated Hessian not positive definite; repaired with ridge {ridge:g}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    cov = scipy.linalg.cho_solve(chol, np.eye(hessian.shape[0]))
+    return 0.5 * (cov + cov.T), -_logdet(chol)
 
 
 def infer_document(
@@ -288,18 +292,17 @@ def infer_document(
     _, expected, _, pi, _ = objective.at(nu_hat)
     hessian = _laplace_hessian(pi, objective.n_total, params)
     nu_cov, logdet_cov = _invert_neg_hessian(hessian)
-    _, logdet_prior = np.linalg.slogdet(params.sigma0)
     elbo = (
         objective.value(nu_hat)
         + 0.5 * (params.num_phenotypes + float(np.sum(hessian * nu_cov)))
-        + 0.5 * (logdet_cov - logdet_prior)
+        + 0.5 * (logdet_cov - params.sigma0_logdet)
     )
 
     return DocPosterior(
         nu_hat=nu_hat,
         nu_cov=nu_cov,
         expected_counts=expected,
-        proportions=softmax(nu_hat),
+        proportions=pi,
         elbo=elbo,
         converged=result.converged or result.step_norm <= tol,
         iterations=result.iterations,

@@ -76,6 +76,19 @@ class TestTrain:
         )
         assert code == 2
 
+    def test_count_beyond_float_precision_is_io_error(self, tmp_path, capsys):
+        corpus = tmp_path / "huge"
+        corpus.mkdir()
+        (corpus / "vocab.json").write_text(json.dumps({"dx": ["a", "b"]}))
+        (corpus / "records.jsonl").write_text(
+            '{"id": "p1", "bags": {"dx": {"a": ' + "9" * 400 + ', "b": 1}}}\n'
+        )
+        code = main(["train", "--corpus", str(corpus), "--k", "2", "--seed", "0",
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "2**53" in err and "Traceback" not in err
+
     def test_non_convergence_exits_3_but_writes_model(self, corpus_dir, tmp_path):
         out = tmp_path / "short"
         code = main(
@@ -290,19 +303,6 @@ class TestSummarize:
              "--record-file", str(record_file), "--out", str(tmp_path / "s")]
         )
         assert code == 2
-
-    def test_vocab_fingerprint_mismatch_exits_4(self, trained, tmp_path):
-        other_vocab = tmp_path / "other_vocab.json"
-        other_vocab.write_text(json.dumps({"dx": ["different", "tokens"]}))
-        record_file = self.write_segments(
-            tmp_path, [{"id": "p1", "bags": {"dx": {"different": 1}}}]
-        )
-        code = main(
-            ["summarize", "--model", str(trained / "model.json"),
-             "--record-file", str(record_file), "--vocab", str(other_vocab),
-             "--out", str(tmp_path / "s")]
-        )
-        assert code == 4
 
 
 class TestEval:

@@ -122,6 +122,23 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match="positive integer"):
             load_corpus(path)
 
+    def test_count_cap_is_two_to_the_53(self, tmp_path):
+        path = write_corpus_dir(
+            tmp_path, {"dx": ["a"]}, [{"id": "p1", "bags": {"dx": {"a": 2**53}}}]
+        )
+        assert load_corpus(path).records[0].bags[0] == {0: 2**53}
+        write_corpus_dir(tmp_path, {"dx": ["a"]}, [{"id": "p1", "bags": {"dx": {"a": 2**53 + 1}}}])
+        with pytest.raises(CorpusError, match="up to 2\\*\\*53"):
+            load_corpus(path)
+
+    def test_integer_too_long_to_parse_rejected(self, tmp_path):
+        path = write_corpus_dir(tmp_path, {"dx": ["a"]}, [{"id": "p1", "bags": {}}])
+        (tmp_path / "records.jsonl").write_text(
+            '{"id": "p1", "bags": {"dx": {"a": ' + "9" * 5000 + "}}}\n", encoding="utf-8"
+        )
+        with pytest.raises(CorpusError, match="records line 1"):
+            load_corpus(path)
+
     def test_duplicate_vocab_tokens_rejected(self, tmp_path):
         path = write_corpus_dir(tmp_path, {"dx": ["a", "a"]}, [{"id": "p1", "bags": {}}])
         with pytest.raises(CorpusError, match="duplicate tokens"):
@@ -136,6 +153,11 @@ class TestCorpusValidation:
     def test_boolean_count_rejected(self):
         with pytest.raises(CorpusError, match="positive integer"):
             Corpus(vocabularies=self.VOCABS, records=(RecordBags("r", ({0: True, 1: 2},)),))
+
+    def test_count_cap_is_two_to_the_53(self):
+        Corpus(vocabularies=self.VOCABS, records=(RecordBags("r", ({0: 2**53},)),))
+        with pytest.raises(CorpusError, match="up to 2\\*\\*53"):
+            Corpus(vocabularies=self.VOCABS, records=(RecordBags("r", ({0: 2**53 + 1},)),))
 
     def test_boolean_token_index_rejected(self):
         with pytest.raises(CorpusError, match="token index True"):

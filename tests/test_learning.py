@@ -159,6 +159,18 @@ class TestMStep:
         np.linalg.cholesky(new.sigma0)
         assert np.all(np.isfinite(new.mu0))
 
+    def test_indefinite_prior_estimate_repaired_with_one_warning(self):
+        corpus = tiny_corpus(num_records=2)
+        cfg = TrainConfig(K=2)
+        # equal modes, so sigma0 is the mean covariance, eigenvalues 4 and -2
+        indefinite = [[1.0, 3.0], [3.0, 1.0]]
+        posts = [manual_posterior(np.zeros(2), indefinite, [[3.0, 3.0]]) for _ in range(2)]
+        with pytest.warns(RuntimeWarning, match="ridge 10$") as caught:
+            params = m_step(corpus, posts, cfg, current=initialize(corpus, cfg))
+        assert len(caught) == 1
+        np.linalg.cholesky(params.sigma0)
+        np.testing.assert_allclose(params.sigma0, np.array(indefinite) + 10 * np.eye(2), rtol=1e-12)
+
     def test_freeze_prior_keeps_current(self):
         corpus = tiny_corpus()
         cfg = TrainConfig(K=2, seed=0, update_prior=False)

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from phenotopics import variational
+from phenotopics import numerics
 from phenotopics.corpus import RecordBags
-from phenotopics.numerics import NewtonConfig, maximize_concave, softmax
+from phenotopics.numerics import softmax
 from phenotopics.variational import (
     ModelParams,
     ModeObjective,
     _bag_arrays,
+    _invert_neg_hessian,
     _laplace_hessian,
     _responsibilities,
     infer_document,
@@ -41,6 +42,13 @@ class TestModelParams:
         np.testing.assert_allclose(
             params.sigma0 @ params.sigma0_inv, np.eye(4), atol=1e-10
         )
+
+    def test_cached_log_determinant(self, rng):
+        for k in (2, 7, 50):
+            params = random_params(rng, k, [5])
+            sign, logdet = np.linalg.slogdet(params.sigma0)
+            assert sign == 1.0
+            assert params.sigma0_logdet == pytest.approx(logdet, rel=1e-12)
 
 
 def objective(params, bags):
@@ -190,6 +198,15 @@ class TestUpdateQNu:
         )
 
 
+class TestInvertNegHessian:
+    def test_repair_warns_once_naming_the_ridge(self):
+        # -hessian = diag(1, -0.5): nine rungs fail before ridge 1, one warning
+        with pytest.warns(RuntimeWarning, match="ridge 1$") as caught:
+            cov, _ = _invert_neg_hessian(np.diag([-1.0, 0.5]))
+        assert len(caught) == 1
+        np.testing.assert_allclose(cov, np.diag([0.5, 2.0]), rtol=1e-12)
+
+
 class TestUpdateQZ:
     """The closed-form q(z) responsibilities."""
 
@@ -320,10 +337,7 @@ class TestInferDocument:
         assert post.converged
 
     def test_newton_cap_with_large_step_is_unconverged(self, monkeypatch):
-        def one_iteration(f, grad, hess, x0):
-            return maximize_concave(f, grad, hess, x0, NewtonConfig(max_iters=1))
-
-        monkeypatch.setattr(variational, "maximize_concave", one_iteration)
+        monkeypatch.setattr(numerics, "NEWTON_MAX_ITERS", 1)
         beta = np.array([[0.96, 0.02, 0.02], [0.02, 0.02, 0.96]])
         params = make_params([0.0, 0.0], 4.0 * np.eye(2), [beta])
         post = infer_document(RecordBags("r", ({0: 40},)), params, nu_init=np.array([-5.0, 5.0]))
