@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .corpus import Corpus, CorpusError, RecordBags, Vocabulary, load_corpus, save_corpus
 from .learning import TrainConfig, TrainedModel, initialize, load_model, m_step, save_model, train
-from .numerics import log_sum_exp, maximize_concave, softmax
+from .numerics import maximize_concave, softmax
 from .phenotype import (
     PhenotypeDefinition,
     RelatednessGraph,
@@ -52,7 +52,6 @@ __all__ = [
     "initialize",
     "load_corpus",
     "load_model",
-    "log_sum_exp",
     "m_step",
     "match_phenotypes",
     "maximize_concave",

@@ -11,6 +11,9 @@ All randomness flows through --seed. The E-step thread count comes from
 --threads, the PHENOTOPICS_THREADS environment variable, or is 1, in that
 order; it never changes results, only wall time. ``--config file.json``
 supplies defaults for any flag of the invoked subcommand; explicit flags win.
+Each value must have the JSON type its flag takes (an integer, a number, a
+string, or true/false for a switch): a wrong type exits 1, a file that does
+not parse exits 2.
 """
 
 from __future__ import annotations
@@ -141,9 +144,6 @@ def cmd_train(args) -> int:
             seed=args.seed,
             max_em_iters=args.max_em_iters,
             em_tol=args.em_tol,
-            beta_smoothing=args.beta_smoothing,
-            noise_scale=args.noise_scale,
-            doc_tol=args.doc_tol,
             update_prior=not args.freeze_prior,
         )
     except ValueError as exc:
@@ -221,7 +221,7 @@ def cmd_summarize(args) -> int:
     model = _load_model_or_die(args.model)
 
     try:
-        records = read_records_jsonl(args.record_file, model.vocabularies)
+        records = read_records_jsonl(args.record_file, model.vocabularies).records
     except FileNotFoundError as exc:
         raise _CliError(EXIT_IO, f"cannot read record file: {exc}")
     except CorpusError as exc:
@@ -360,9 +360,6 @@ def build_parser():
     p.add_argument("--seed", type=int)
     p.add_argument("--max-em-iters", type=int, default=100)
     p.add_argument("--em-tol", type=float, default=1e-5)
-    p.add_argument("--beta-smoothing", type=float, default=1e-8)
-    p.add_argument("--noise-scale", type=float, default=1.0)
-    p.add_argument("--doc-tol", type=float, default=1e-4)
     p.add_argument("--freeze-prior", action="store_true",
                    help="keep mu0/sigma0 at initialization")
     p.set_defaults(func=cmd_train)
@@ -407,6 +404,14 @@ def build_parser():
     return parser, commands
 
 
+def _config_value_fits(action, value) -> bool:
+    """Whether a --config value has the JSON type its flag takes on the command line."""
+    if action.nargs == 0:  # --freeze-prior and other switches
+        return type(value) is bool
+    # exact types: bool subclasses int but is not a number here
+    return type(value) in {int: (int,), float: (int, float)}.get(action.type, (str,))
+
+
 def _apply_config_file(commands, argv):
     """Use a --config JSON object as flag defaults for the invoked subcommand."""
     probe = argparse.ArgumentParser(add_help=False)
@@ -418,17 +423,20 @@ def _apply_config_file(commands, argv):
     try:
         with open(known.config, encoding="utf-8") as fh:
             defaults = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8, or an over-long int
         raise _CliError(EXIT_IO, f"cannot load config file: {exc}")
     if not isinstance(defaults, dict):
         raise _CliError(EXIT_IO, "config file must hold a JSON object of flag defaults")
     target = commands[known.command]
-    valid = {action.dest for action in target._actions}  # noqa: SLF001
-    unknown = sorted(set(defaults) - valid)
+    actions = {action.dest: action for action in target._actions}  # noqa: SLF001
+    unknown = sorted(set(defaults) - set(actions))
     if unknown:
         raise _CliError(
             EXIT_ARGS, f"config keys not recognized for {known.command!r}: {unknown}"
         )
+    for key, value in defaults.items():
+        if not _config_value_fits(actions[key], value):
+            raise _CliError(EXIT_ARGS, f"config value for {key!r} has the wrong type: {value!r}")
     target.set_defaults(**defaults)
 
 

@@ -62,9 +62,6 @@ class RecordBags:
     bags: tuple
     time_bin: str | None = None
 
-    def total_counts(self) -> list:
-        return [sum(bag.values()) for bag in self.bags]
-
 
 @dataclass(frozen=True)
 class Corpus:
@@ -92,11 +89,6 @@ class Corpus:
             _validate_record(rec, self.vocabularies)
 
 
-def _is_count(value) -> bool:
-    """A token count: an int in [1, MAX_COUNT] (bool subclasses int but is not one)."""
-    return type(value) is int and 1 <= value <= MAX_COUNT
-
-
 def _validate_record(rec: RecordBags, vocabularies) -> None:
     if len(rec.bags) != len(vocabularies):
         raise CorpusError(
@@ -110,9 +102,9 @@ def _validate_record(rec: RecordBags, vocabularies) -> None:
                     f"record {rec.record_id!r}: token index {idx!r} invalid for "
                     f"type {vocab.type_name!r} (size {vocab.size})"
                 )
-            if not _is_count(count):
+            if type(count) is not int or not 1 <= count <= MAX_COUNT:
                 raise CorpusError(
-                    f"record {rec.record_id!r}: count for token index {idx} of type "
+                    f"record {rec.record_id!r}: count for token {vocab.tokens[idx]!r} of type "
                     f"{vocab.type_name!r} must be a positive integer up to 2**53, "
                     f"got {count!r}"
                 )
@@ -130,6 +122,7 @@ def _parse_vocabularies(raw) -> tuple:
 
 
 def _parse_record(obj, vocabularies, lookups, line_no: int) -> RecordBags:
+    """Resolve one record's token strings to indices; :class:`Corpus` checks the counts."""
     where = f"records line {line_no}"
     if not isinstance(obj, dict):
         raise CorpusError(f"{where}: expected a JSON object")
@@ -159,48 +152,44 @@ def _parse_record(obj, vocabularies, lookups, line_no: int) -> RecordBags:
                 raise CorpusError(
                     f"{where}: unknown token {token!r} for type {vocab.type_name!r}"
                 )
-            if not _is_count(count):
-                raise CorpusError(
-                    f"{where}: count for token {token!r} must be a positive integer "
-                    f"up to 2**53, got {count!r}"
-                )
             bag[lookup[token]] = count
         bags.append(bag)
     return RecordBags(record_id=record_id, bags=tuple(bags), time_bin=time_bin)
 
 
-def read_records_jsonl(path, vocabularies) -> tuple:
+def read_records_jsonl(path, vocabularies) -> Corpus:
     """Parse a records.jsonl file against already-loaded vocabularies.
 
     Types absent from a record's bags become empty bags; a record may appear
     once per (id, time_bin) pair so that time segments of one record can share
-    an id.
+    an id. Returns the validated :class:`Corpus` of those records.
     """
     lookups = [v.index_of() for v in vocabularies]
     records = []
     seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"records line {line_no}: invalid JSON ({exc.msg})") from exc
-            except ValueError as exc:  # an integer literal too long to convert
-                raise CorpusError(f"records line {line_no}: {exc}") from exc
-            rec = _parse_record(obj, vocabularies, lookups, line_no)
-            key = (rec.record_id, rec.time_bin)
-            if key in seen:
-                raise CorpusError(
-                    f"records line {line_no}: duplicate record id {rec.record_id!r}"
-                    + (f" for time_bin {rec.time_bin!r}" if rec.time_bin else "")
-                )
-            seen.add(key)
-            records.append(rec)
-    if not records:
-        raise CorpusError("no records")
-    return tuple(records)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise CorpusError(f"records line {line_no}: invalid JSON ({exc.msg})") from exc
+                except ValueError as exc:  # an integer literal too long to convert
+                    raise CorpusError(f"records line {line_no}: {exc}") from exc
+                rec = _parse_record(obj, vocabularies, lookups, line_no)
+                key = (rec.record_id, rec.time_bin)
+                if key in seen:
+                    raise CorpusError(
+                        f"records line {line_no}: duplicate record id {rec.record_id!r}"
+                        + (f" for time_bin {rec.time_bin!r}" if rec.time_bin else "")
+                    )
+                seen.add(key)
+                records.append(rec)
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    return Corpus(vocabularies=vocabularies, records=tuple(records))
 
 
 def load_corpus(path) -> Corpus:
@@ -215,9 +204,9 @@ def load_corpus(path) -> Corpus:
             raw_vocab = json.load(fh)
     except json.JSONDecodeError as exc:
         raise CorpusError(f"{vocab_path}: invalid JSON at line {exc.lineno}") from exc
-    vocabularies = _parse_vocabularies(raw_vocab)
-    records = read_records_jsonl(records_path, vocabularies)
-    return Corpus(vocabularies=vocabularies, records=records)
+    except ValueError as exc:  # not UTF-8, or an integer literal too long to convert
+        raise CorpusError(f"{vocab_path}: {exc}") from exc
+    return read_records_jsonl(records_path, _parse_vocabularies(raw_vocab))
 
 
 def save_corpus(corpus: Corpus, path) -> None:

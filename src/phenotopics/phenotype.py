@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .learning import TrainedModel
-from .numerics import is_positive_definite
+from .numerics import NonFiniteError, ridged_cholesky
 
 
 @dataclass
@@ -91,9 +91,13 @@ def correlation_matrix(model: TrainedModel, method: str = "prior") -> np.ndarray
 def covariance_to_correlation(sigma) -> np.ndarray:
     """Normalize a positive-definite covariance to its correlation matrix."""
     sigma = np.asarray(sigma, dtype=float)
-    d = np.diag(sigma)
-    if np.any(d <= 0) or not is_positive_definite(sigma):
+    try:
+        _, ridge = ridged_cholesky(sigma)
+    except NonFiniteError as exc:
+        raise ValueError("covariance is not finite") from exc
+    if ridge:
         raise ValueError("covariance is not positive definite")
+    d = np.diag(sigma)
     return _unit_symmetric(sigma / np.sqrt(np.outer(d, d)))
 
 

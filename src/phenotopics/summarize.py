@@ -91,7 +91,7 @@ def summarize_record(segments, model: TrainedModel, top_n: int = 5) -> SummaryTr
     proportions = []
     bins = []
     for pos, seg in enumerate(segments):
-        post = infer_document(seg, model.params, tol=model.config.doc_tol)
+        post = infer_document(seg, model.params)
         proportions.append(post.proportions)
         bins.append(seg.time_bin if seg.time_bin is not None else str(pos))
     proportions = np.stack(proportions)

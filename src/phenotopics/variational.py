@@ -36,7 +36,7 @@ import numpy as np
 import scipy.linalg
 
 from .corpus import RecordBags
-from .numerics import maximize_concave, ridged_cholesky
+from .numerics import NonFiniteError, _log_normalize, maximize_concave, ridged_cholesky
 
 
 def _logdet(chol) -> float:
@@ -73,15 +73,18 @@ class ModelParams:
         """Build params from mu0, sigma0 and per-type log topic matrices.
 
         Computes the cached inverse and log determinant from one Cholesky
-        factor, which doubles as the positive-definiteness check on sigma0.
+        factor, which doubles as the positive-definiteness check on sigma0:
+        a sigma0 that :func:`ridged_cholesky` would have to ridge is rejected.
         """
         mu0 = np.asarray(mu0, dtype=float)
         sigma0 = np.asarray(sigma0, dtype=float)
         sigma0 = 0.5 * (sigma0 + sigma0.T)
         try:
-            chol = scipy.linalg.cho_factor(sigma0, lower=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise ValueError("sigma0 must be symmetric positive definite") from exc
+            chol, ridge = ridged_cholesky(sigma0)
+        except NonFiniteError as exc:
+            raise ValueError("sigma0 must be finite") from exc
+        if ridge:
+            raise ValueError("sigma0 must be symmetric positive definite")
         sigma0_inv = scipy.linalg.cho_solve(chol, np.eye(mu0.shape[0]))
         sigma0_inv = 0.5 * (sigma0_inv + sigma0_inv.T)
         log_beta = [np.asarray(lb, dtype=float) for lb in log_beta]
@@ -162,14 +165,10 @@ def _responsibilities(indices, counts, nu, params: ModelParams):
         if idx.size == 0:
             resp.append(np.zeros((k, 0)))
             continue
-        logits = params.log_beta[m][:, idx] + nu_col
-        top = logits.max(axis=0)
-        q = np.exp(logits - top)
-        total = q.sum(axis=0)
-        q /= total
+        q, lse = _log_normalize(params.log_beta[m][:, idx] + nu_col)
         resp.append(q)
         expected[m] = q @ cnt
-        data[m] = cnt @ (top + np.log(total))
+        data[m] = cnt @ lse
     return resp, expected, data
 
 
@@ -214,10 +213,8 @@ class ModeObjective:
         key = nu.tobytes()
         if self._key != key:
             resp, expected, data = _responsibilities(self.indices, self.counts, nu, self.params)
-            top = nu.max()
-            e = np.exp(nu - top)
-            total = e.sum()
-            self._state = (resp, expected, data, e / total, float(top) + float(np.log(total)))
+            pi, lse = _log_normalize(nu)
+            self._state = (resp, expected, data, pi, float(lse))
             self._key = key
         return self._state
 

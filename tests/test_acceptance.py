@@ -180,7 +180,7 @@ def test_criterion_06_normalization_and_conservation():
     for _ in range(8):
         posts = []
         for rec, w in zip(corpus.records, warm):
-            post = infer_document(rec, params, tol=cfg.doc_tol, nu_init=w)
+            post = infer_document(rec, params, nu_init=w)
             posts.append(post)
             resp = ModeObjective(rec, params).at(post.nu_hat)[0]
             for m, bag in enumerate(rec.bags):

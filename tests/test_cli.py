@@ -123,7 +123,10 @@ class TestTrain:
 
     def test_config_file_supplies_defaults(self, corpus_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"k": 2, "seed": 5, "max_em_iters": 3}))
+        # an integer is a valid number for a float flag such as --em-tol
+        cfg.write_text(json.dumps(
+            {"k": 2, "seed": 5, "max_em_iters": 3, "em_tol": 0, "freeze_prior": False}
+        ))
         out = tmp_path / "o"
         code = main(
             ["train", "--corpus", str(corpus_dir), "--config", str(cfg),
@@ -138,6 +141,41 @@ class TestTrain:
         code = main(
             ["train", "--corpus", str(corpus_dir), "--config", str(cfg), "--k", "2",
              "--seed", "0", "--out", str(tmp_path / "o")]
+        )
+        assert code == 1
+
+    @pytest.mark.parametrize(
+        "command, text, expected",
+        [
+            ("phenotypes", '{"top_n": null}', 1),
+            ("train", '{"k": 2.5}', 1),
+            ("train", '{"freeze_prior": 1}', 1),
+            ("train", '{"max_em_iters": ' + "9" * 5000 + "}", 2),
+            ("train", b"\xff\xfe{}", 2),
+        ],
+        ids=["null-int", "float-for-int", "int-for-switch", "huge-int", "not-utf8"],
+    )
+    def test_bad_config_value_exits_without_traceback(
+        self, trained, corpus_dir, tmp_path, capsys, command, text, expected
+    ):
+        cfg = tmp_path / "cfg.json"
+        if isinstance(text, bytes):
+            cfg.write_bytes(text)
+        else:
+            cfg.write_text(text)
+        flags = {
+            "train": ["--corpus", str(corpus_dir), "--k", "2", "--seed", "0"],
+            "phenotypes": ["--model", str(trained / "model.json"), "--label-type", "dx"],
+        }[command]
+        code = main([command, *flags, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == expected
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--doc-tol", "--beta-smoothing", "--noise-scale"])
+    def test_retired_training_flags_are_argument_errors(self, corpus_dir, tmp_path, flag):
+        code = main(
+            ["train", "--corpus", str(corpus_dir), "--k", "2", "--seed", "0",
+             flag, "1e-4", "--out", str(tmp_path / "o")]
         )
         assert code == 1
 
@@ -235,6 +273,35 @@ class TestPhenotypes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "corrupt, expected",
+        [
+            (lambda p: p.update(sigma0=[1.0, 2.0, 2.0, 1.0]), 2),  # not positive definite
+            (lambda p: p["log_beta"]["dx"].__setitem__(0, 0.0), 2),  # row sums past 1
+            (lambda p: p.update(mu0=p["mu0"][:1]), 2),
+            (lambda p: p.update(K="<huge>"), 2),  # a 5,000-digit integer literal
+            (lambda p: p.update(K=float("inf")), 2),
+            (lambda p: p.update(vocabularies=[]), 2),
+            (lambda p: p.update(history=5), 2),
+            (lambda p: p.update(vocab_fingerprint=5), 4),
+        ],
+        ids=["sigma0-not-pd", "row-sum", "mu0-short", "huge-K", "infinite-K",
+             "vocabularies-list", "history-int", "fingerprint-int"],
+    )
+    def test_model_that_is_not_a_model_exits_without_traceback(
+        self, trained, tmp_path, capsys, corrupt, expected
+    ):
+        payload = json.loads((trained / "model.json").read_text())
+        corrupt(payload)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload).replace('"<huge>"', "9" * 5000))
+        code = main(
+            ["phenotypes", "--model", str(bad), "--label-type", "dx",
+             "--out", str(tmp_path / "p")]
+        )
+        assert code == expected
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestSummarize:
     def write_segments(self, tmp_path, lines):
@@ -294,6 +361,31 @@ class TestSummarize:
         sankey = json.loads((out / "sankey_p1.json").read_text())
         # top_n clamps to K=2 phenotypes; selection set size = min(5, K)
         assert len({n["phenotype"] for n in sankey["nodes"]}) == 2
+
+    def test_model_file_with_retired_config_keys_summarizes_identically(
+        self, trained, tmp_path
+    ):
+        # model files written while these were TrainConfig fields carry them
+        payload = json.loads((trained / "model.json").read_text())
+        assert set(payload["config"]).isdisjoint({"beta_smoothing", "noise_scale", "doc_tol"})
+        payload["config"].update(
+            beta_smoothing=1e-8, noise_scale=1.0, doc_tol=1e-4, doc_max_outer=100
+        )
+        old = tmp_path / "old_model.json"
+        old.write_text(json.dumps(payload))
+        record_file = self.write_segments(
+            tmp_path,
+            [{"id": "p1", "time_bin": f"y{i}", "bags": {"dx": {"w1": 1 + i, "w5": 4}}}
+             for i in range(3)],
+        )
+        outs = []
+        for name, model in (("new", trained / "model.json"), ("old", old)):
+            out = tmp_path / name
+            assert main(["summarize", "--model", str(model), "--record-file",
+                         str(record_file), "--out", str(out)]) == 0
+            outs.append(out)
+        for name in ("trajectory_p1.csv", "sankey_p1.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_empty_record_file_is_io_error(self, trained, tmp_path):
         record_file = tmp_path / "empty.jsonl"

@@ -105,7 +105,7 @@ class TestLoadCorpus:
         path = write_corpus_dir(
             tmp_path, {"dx": ["a"]}, [{"id": "p1", "bags": {"dx": {"a": 0}}}]
         )
-        with pytest.raises(CorpusError, match="positive integer"):
+        with pytest.raises(CorpusError, match="record 'p1': count for token 'a' .*positive"):
             load_corpus(path)
 
     def test_fractional_count_rejected(self, tmp_path):
@@ -137,6 +137,15 @@ class TestLoadCorpus:
             '{"id": "p1", "bags": {"dx": {"a": ' + "9" * 5000 + "}}}\n", encoding="utf-8"
         )
         with pytest.raises(CorpusError, match="records line 1"):
+            load_corpus(path)
+        (tmp_path / "vocab.json").write_text('{"dx": ["a", ' + "9" * 5000 + "]}")
+        with pytest.raises(CorpusError, match="vocab.json"):
+            load_corpus(path)
+
+    def test_non_utf8_records_rejected(self, tmp_path):
+        path = write_corpus_dir(tmp_path, {"dx": ["a"]}, [])
+        (tmp_path / "records.jsonl").write_bytes(b'{"id": "p1", "bags": {}}\n\xff\xfe\n')
+        with pytest.raises(CorpusError, match="not UTF-8"):
             load_corpus(path)
 
     def test_duplicate_vocab_tokens_rejected(self, tmp_path):
@@ -229,4 +238,6 @@ def test_total_counts_conserved_under_round_trip(tmp_path_factory, corpus):
     save_corpus(corpus, path)
     reloaded = load_corpus(path)
     for orig, back in zip(corpus.records, reloaded.records):
-        assert orig.total_counts() == back.total_counts()
+        assert [sum(bag.values()) for bag in orig.bags] == [
+            sum(bag.values()) for bag in back.bags
+        ]

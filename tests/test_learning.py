@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from phenotopics import learning
 from phenotopics.corpus import Corpus, RecordBags, Vocabulary
 from phenotopics.learning import (
     FingerprintError,
@@ -66,16 +67,13 @@ class TestTrainConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="K"):
             TrainConfig(K=1)
-        with pytest.raises(ValueError, match="beta_smoothing"):
-            TrainConfig(K=2, beta_smoothing=0.0)
-        with pytest.raises(ValueError, match="noise_scale"):
-            TrainConfig(K=2, noise_scale=-0.1)
 
 
 class TestInitialize:
-    def test_zero_noise_gives_exactly_uniform_rows(self):
+    def test_zero_noise_gives_exactly_uniform_rows(self, monkeypatch):
+        monkeypatch.setattr(learning, "INIT_NOISE", 0.0)
         corpus = tiny_corpus(num_types=2, vocab_size=5)
-        params = initialize(corpus, TrainConfig(K=3, seed=0, noise_scale=0.0))
+        params = initialize(corpus, TrainConfig(K=3, seed=0))
         for lb in params.log_beta:
             np.testing.assert_array_equal(np.exp(lb), np.full(lb.shape, 1 / lb.shape[1]))
         np.testing.assert_array_equal(params.mu0, np.zeros(3))
@@ -106,7 +104,8 @@ class TestInitialize:
 
 
 class TestMStep:
-    def test_hard_assignments_recover_empirical_distributions(self):
+    def test_hard_assignments_recover_empirical_distributions(self, monkeypatch):
+        monkeypatch.setattr(learning, "BETA_SMOOTHING", 1e-12)
         vocab = Vocabulary("dx", ("a", "b", "c", "d"))
         rec1 = RecordBags("r1", ({0: 2, 1: 2},))
         rec2 = RecordBags("r2", ({2: 1, 3: 3},))
@@ -119,13 +118,13 @@ class TestMStep:
             manual_posterior(np.zeros(2), np.eye(2), [[4.0, 0.0]]),
             manual_posterior(np.zeros(2), np.eye(2), [[0.0, 4.0]]),
         ]
-        cfg = TrainConfig(K=2, beta_smoothing=1e-12)
-        params = m_step(corpus, posts, cfg, current=current)
+        params = m_step(corpus, posts, TrainConfig(K=2), current=current)
         beta = np.exp(params.log_beta[0])
         np.testing.assert_allclose(beta[0], [0.5, 0.5, 0.0, 0.0], atol=1e-9)
         np.testing.assert_allclose(beta[1], [0.0, 0.0, 0.25, 0.75], atol=1e-9)
 
-    def test_normalization_of_expected_counts(self):
+    def test_normalization_of_expected_counts(self, monkeypatch):
+        monkeypatch.setattr(learning, "BETA_SMOOTHING", 1e-12)
         # expected counts per (k, v): [[2, 2], [0, 4]] -> rows [.5, .5], [0, 1]
         vocab = Vocabulary("dx", ("a", "b"))
         rec = RecordBags("r1", ({0: 2, 1: 6},))
@@ -133,7 +132,7 @@ class TestMStep:
         # q(z) columns at nu = 0: token a (1, 0), token b (1/3, 2/3)
         current = make_params([0.0, 0.0], np.eye(2), [[[0.5, 0.5], [TINY, 1.0]]])
         posts = [manual_posterior(np.zeros(2), np.eye(2), [[4.0, 4.0]])]
-        params = m_step(corpus, posts, TrainConfig(K=2, beta_smoothing=1e-12), current=current)
+        params = m_step(corpus, posts, TrainConfig(K=2), current=current)
         beta = np.exp(params.log_beta[0])
         np.testing.assert_allclose(beta[0], [0.5, 0.5], atol=1e-9)
         np.testing.assert_allclose(beta[1], [0.0, 1.0], atol=1e-9)
@@ -271,7 +270,7 @@ class TestTrain:
         params = initialize(corpus, cfg)
         warm = [params.mu0] * corpus.num_records
         for _ in range(8):
-            posts = _e_step(corpus, params, cfg, warm, threads=1)
+            posts = _e_step(corpus, params, warm, threads=1)
             unconverged = [
                 rec.record_id for rec, post in zip(corpus.records, posts) if not post.converged
             ]
@@ -317,13 +316,15 @@ class TestModelIO:
             load_model(path)
 
     def test_retired_config_key_still_loads(self, tmp_path):
-        # model files written before doc_max_outer was retired carry it
+        # model files written before these TrainConfig fields were retired carry them
         model = train(tiny_corpus(), TrainConfig(K=2, seed=6, max_em_iters=2))
         path = tmp_path / "model.json"
         save_model(model, path)
         payload = json.loads(path.read_text())
         assert payload["format_version"] == 1
-        payload["config"]["doc_max_outer"] = 100
+        payload["config"].update(
+            doc_max_outer=100, beta_smoothing=1e-8, noise_scale=1.0, doc_tol=1e-4
+        )
         path.write_text(json.dumps(payload))
         assert load_model(path).config == model.config
 

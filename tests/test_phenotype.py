@@ -9,6 +9,7 @@ from phenotopics.phenotype import (
     RelatednessGraph,
     correlation_graph,
     correlation_matrix,
+    covariance_to_correlation,
     extract_phenotypes,
     prevalence,
     split_by_prevalence,
@@ -142,6 +143,18 @@ class TestCorrelationGraph:
         np.testing.assert_allclose(
             correlation_matrix(m1), correlation_matrix(m2), atol=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "sigma, match",
+        [
+            ([[1.0, 2.0], [2.0, 1.0]], "not positive definite"),
+            ([[-1.0, 0.0], [0.0, 1.0]], "not positive definite"),
+            ([[np.nan, 0.0], [0.0, 1.0]], "not finite"),
+        ],
+    )
+    def test_non_covariance_rejected(self, sigma, match):
+        with pytest.raises(ValueError, match=match):
+            covariance_to_correlation(sigma)
 
     def test_empirical_mode_uses_posterior_proportions(self):
         posts = [
