@@ -11,14 +11,7 @@ __version__ = "0.1.0"
 from .corpus import Corpus, CorpusError, RecordBags, Vocabulary, load_corpus, save_corpus
 from .learning import TrainConfig, TrainedModel, initialize, load_model, m_step, save_model, train
 from .numerics import maximize_concave, softmax
-from .phenotype import (
-    PhenotypeDefinition,
-    RelatednessGraph,
-    correlation_graph,
-    extract_phenotypes,
-    prevalence,
-    split_by_prevalence,
-)
+from .phenotype import PhenotypeDefinition, RelatednessGraph, correlation_graph, extract_phenotypes
 from .summarize import (
     SummaryTrajectory,
     coverage_count,
@@ -55,13 +48,11 @@ __all__ = [
     "m_step",
     "match_phenotypes",
     "maximize_concave",
-    "prevalence",
     "recovery_report",
     "sample_corpus",
     "save_corpus",
     "save_model",
     "softmax",
-    "split_by_prevalence",
     "summarize_record",
     "train",
 ]

@@ -51,7 +51,13 @@ from .summarize import (
     save_trajectory_csv,
     summarize_record,
 )
-from .synth import get_preset, load_scenario, recovery_report, sample_scenario
+from .synth import (
+    ScenarioFormatError,
+    get_preset,
+    load_scenario,
+    recovery_report,
+    sample_scenario,
+)
 
 EXIT_OK = 0
 EXIT_ARGS = 1
@@ -254,6 +260,10 @@ def cmd_summarize(args) -> int:
 def cmd_eval(args) -> int:
     started = time.monotonic()
     _require(args, "seed")
+    if not 0.0 <= args.tv_threshold <= 1.0:
+        raise _CliError(EXIT_ARGS, "--tv-threshold must lie in [0, 1]")
+    if not 0.0 <= args.corr_threshold <= 1.0:
+        raise _CliError(EXIT_ARGS, "--corr-threshold must lie in [0, 1]")
     if args.preset:
         try:
             scenario = get_preset(args.preset)
@@ -262,7 +272,7 @@ def cmd_eval(args) -> int:
     elif args.scenario:
         try:
             scenario = load_scenario(args.scenario)
-        except (OSError, json.JSONDecodeError, TypeError) as exc:
+        except (OSError, ScenarioFormatError) as exc:
             raise _CliError(EXIT_IO, f"cannot load scenario: {exc}")
         except ValueError as exc:
             raise _CliError(EXIT_ARGS, f"invalid scenario: {exc}")

@@ -76,10 +76,6 @@ class Corpus:
     def num_records(self) -> int:
         return len(self.records)
 
-    @property
-    def type_names(self) -> list:
-        return [v.type_name for v in self.vocabularies]
-
     def __post_init__(self):
         if self.num_types < 1:
             raise CorpusError("corpus needs at least one data type")

@@ -57,6 +57,8 @@ class TrainConfig:
             raise ValueError("K must be >= 2")
         if self.max_em_iters < 0:
             raise ValueError("max_em_iters must be non-negative")
+        if not self.em_tol >= 0:  # also rejects NaN, which would never converge
+            raise ValueError("em_tol must be non-negative")
 
 
 @dataclass

@@ -1,4 +1,5 @@
-"""Post-training analysis: definitions, labels, prevalence, relatedness graph.
+"""Post-training analysis: phenotype definitions with labels, and the
+relatedness graph read off the learned prior covariance.
 
 Everything here reads a trained model without mutating it, so analyses can run
 concurrently.
@@ -71,23 +72,6 @@ def extract_phenotypes(model: TrainedModel, top_n: int, label_type: str) -> list
     return defs
 
 
-def correlation_matrix(model: TrainedModel, method: str = "prior") -> np.ndarray:
-    """Phenotype correlation matrix.
-
-    ``prior`` normalizes the learned prior covariance; ``empirical`` takes the
-    Pearson correlation of per-record posterior proportions across records
-    (requires posteriors).
-    """
-    if method == "prior":
-        return covariance_to_correlation(model.params.sigma0)
-    if method == "empirical":
-        if not model.doc_posteriors:
-            raise ValueError("empirical correlation requires per-record posteriors")
-        props = np.stack([post.proportions for post in model.doc_posteriors])
-        return _unit_symmetric(np.corrcoef(props, rowvar=False))
-    raise ValueError(f"unknown correlation method {method!r}")
-
-
 def covariance_to_correlation(sigma) -> np.ndarray:
     """Normalize a positive-definite covariance to its correlation matrix."""
     sigma = np.asarray(sigma, dtype=float)
@@ -98,26 +82,22 @@ def covariance_to_correlation(sigma) -> np.ndarray:
     if ridge:
         raise ValueError("covariance is not positive definite")
     d = np.diag(sigma)
-    return _unit_symmetric(sigma / np.sqrt(np.outer(d, d)))
-
-
-def _unit_symmetric(corr: np.ndarray) -> np.ndarray:
-    """Exactly symmetric, with an exact unit diagonal."""
+    corr = sigma / np.sqrt(np.outer(d, d))
+    # exactly symmetric, with an exact unit diagonal
     corr = 0.5 * (corr + corr.T)
     np.fill_diagonal(corr, 1.0)
     return corr
 
 
-def correlation_graph(
-    model: TrainedModel, threshold: float = 0.5, method: str = "prior"
-) -> RelatednessGraph:
-    """Edges for every pair with |correlation| strictly above the threshold.
+def correlation_graph(model: TrainedModel, threshold: float = 0.5) -> RelatednessGraph:
+    """Edges for every pair of the learned prior covariance's correlation
+    matrix with |correlation| strictly above the threshold.
 
     A threshold of exactly 1 is allowed and trivially yields no edges.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must lie in [0, 1]")
-    corr = correlation_matrix(model, method=method)
+    corr = covariance_to_correlation(model.params.sigma0)
     k = corr.shape[0]
     edges = [
         (i, j, float(corr[i, j]))
@@ -126,31 +106,6 @@ def correlation_graph(
         if abs(corr[i, j]) > threshold
     ]
     return RelatednessGraph(correlation=corr, edges=edges, threshold=threshold)
-
-
-def prevalence(model: TrainedModel, present_threshold: float = 0.05) -> np.ndarray:
-    """Fraction of records whose posterior proportion reaches the threshold,
-    per phenotype. "Present in a record" means proportions[k] >= threshold."""
-    if not 0.0 < present_threshold < 1.0:
-        raise ValueError("present_threshold must lie in (0, 1)")
-    if not model.doc_posteriors:
-        raise ValueError("prevalence requires per-record posteriors")
-    props = np.stack([post.proportions for post in model.doc_posteriors])
-    return (props >= present_threshold).mean(axis=0)
-
-
-def split_by_prevalence(graph: RelatednessGraph, prevalence_values, cutoff: float):
-    """Partition edges: 'common' iff both endpoints exceed the prevalence cutoff."""
-    if not 0.0 < cutoff < 1.0:
-        raise ValueError("cutoff must lie in (0, 1)")
-    prevalence_values = np.asarray(prevalence_values, dtype=float)
-    common, rare = [], []
-    for i, j, rho in graph.edges:
-        if prevalence_values[i] > cutoff and prevalence_values[j] > cutoff:
-            common.append((i, j, rho))
-        else:
-            rare.append((i, j, rho))
-    return common, rare
 
 
 def save_phenotype_report(definitions, path) -> None:

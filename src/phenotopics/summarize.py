@@ -130,35 +130,21 @@ def coverage_count(proportions, mass: float) -> int:
     return min(idx + 1, p.size)
 
 
-DEFAULT_BUCKETS = ((1, 5), (6, 20), (21, None))
+# Inclusive (lo, hi) ranges of coverage counts, hi=None meaning unbounded; they
+# partition the positive integers, so every record lands in exactly one.
+COVERAGE_BUCKETS = ((1, 5), (6, 20), (21, None))
 
 
-def coverage_histogram(model: TrainedModel, mass: float = 0.9, buckets=DEFAULT_BUCKETS):
-    """Bucketed distribution of per-record coverage counts.
-
-    Buckets are inclusive (lo, hi) ranges, hi=None meaning unbounded; they must
-    not overlap and must cover every observed count so the returned fractions
-    partition the records (sum to 1).
-    """
+def coverage_histogram(model: TrainedModel, mass: float = 0.9):
+    """Fraction of records per ``COVERAGE_BUCKETS`` range of coverage counts;
+    the fractions sum to 1."""
     if not model.doc_posteriors:
         raise ValueError("coverage requires per-record posteriors")
-    buckets = [(int(lo), None if hi is None else int(hi)) for lo, hi in buckets]
-    for lo, hi in buckets:
-        if hi is not None and hi < lo:
-            raise ValueError(f"bucket ({lo}, {hi}) is empty")
-    ordered = sorted(buckets, key=lambda b: b[0])
-    for (lo1, hi1), (lo2, _) in zip(ordered, ordered[1:]):
-        if hi1 is None or hi1 >= lo2:
-            raise ValueError("overlapping buckets")
-
     counts = [coverage_count(post.proportions, mass) for post in model.doc_posteriors]
     fractions = {}
-    for lo, hi in buckets:
+    for lo, hi in COVERAGE_BUCKETS:
         inside = sum(1 for c in counts if c >= lo and (hi is None or c <= hi))
         fractions[(lo, hi)] = inside / len(counts)
-    covered = sum(fractions.values())
-    if abs(covered - 1.0) > 1e-12:
-        raise ValueError("buckets do not cover every record's coverage count")
     return fractions
 
 

@@ -7,6 +7,10 @@ Each record gets its own seeded stream (derived from the base seed and the
 record index) so records can be generated in parallel and stay bitwise
 reproducible.
 
+Recovery is scored by matching learned to planted phenotypes on the total
+variation (TV) distance between their topic rows, computed once per type and
+summed over types for the matching.
+
 Named scenario presets pin the synthetic setups used by the verification
 suite; a scenario can also round-trip through a small JSON description.
 """
@@ -32,16 +36,12 @@ _TIE_TOL = 1e-12
 
 @dataclass
 class PlantedModel:
-    """Ground truth behind a sampled corpus.
-
-    ``per_token_assignments``, when retained, stores for each record an (M, K)
-    matrix of how many type-m tokens were assigned to each phenotype; the bag
-    representation makes per-occurrence order meaningless.
+    """Ground truth behind a sampled corpus: the parameters it was drawn from,
+    each record's drawn log proportions ``per_record_nu`` (D, K), and the seed.
     """
 
     params: ModelParams
     per_record_nu: np.ndarray
-    per_token_assignments: list | None
     seed: int
 
 
@@ -55,6 +55,14 @@ class RecoveryReport:
     correlation_recovery: list
 
 
+def _synthetic_vocabularies(sizes) -> tuple:
+    """Type m is named ``type{m}`` and its token v ``t{m}_w{v:04d}``."""
+    return tuple(
+        Vocabulary(type_name=f"type{m}", tokens=tuple(f"t{m}_w{v:04d}" for v in range(size)))
+        for m, size in enumerate(sizes)
+    )
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Recipe for a synthetic truth: block topics plus a structured prior.
@@ -63,6 +71,10 @@ class Scenario:
     its own contiguous token block (blocks overlap when ``block_overlap`` > 0);
     the rest spreads uniformly. ``sigma0_pairs`` lists (i, j, rho) correlations
     planted into the prior covariance.
+
+    The sizes are exact integers (``type(x) is int``, so no bools or floats),
+    ``block_mass`` is a number and every pair is a 3-tuple of two integers and
+    a number; anything else raises ValueError.
     """
 
     name: str
@@ -76,6 +88,14 @@ class Scenario:
     sigma0_pairs: tuple = ()
 
     def __post_init__(self):
+        for field in ("K", "M", "vocab_size", "D", "tokens_per_type", "block_overlap"):
+            value = getattr(self, field)
+            if type(value) is not int:
+                raise ValueError(f"{field} must be an integer, got {value!r}")
+        if type(self.name) is not str:
+            raise ValueError(f"name must be a string, got {self.name!r}")
+        if type(self.block_mass) not in (int, float) or not 0.0 <= self.block_mass <= 1.0:
+            raise ValueError(f"block_mass must be a number in [0, 1], got {self.block_mass!r}")
         if self.K < 1 or self.M < 1 or self.D < 1:
             raise ValueError("K, M and D must be >= 1")
         if self.K > self.vocab_size:
@@ -85,20 +105,23 @@ class Scenario:
             )
         if self.tokens_per_type < 0 or self.block_overlap < 0:
             raise ValueError("tokens_per_type and block_overlap must be non-negative")
-        if not 0.0 <= self.block_mass <= 1.0:
-            raise ValueError("block_mass must lie in [0, 1]")
-        for i, j, _ in self.sigma0_pairs:
+        if type(self.sigma0_pairs) is not tuple:
+            raise ValueError(f"sigma0_pairs must be a tuple, got {self.sigma0_pairs!r}")
+        for pair in self.sigma0_pairs:
+            if not (
+                type(pair) is tuple
+                and len(pair) == 3
+                and type(pair[0]) is int
+                and type(pair[1]) is int
+                and type(pair[2]) in (int, float)
+            ):
+                raise ValueError(f"sigma0 pair {pair!r} is not (i, j, rho)")
+            i, j, _ = pair
             if not (0 <= i < self.K and 0 <= j < self.K and i != j):
                 raise ValueError(f"sigma0 pair ({i}, {j}) is not two distinct phenotypes")
 
     def vocabularies(self) -> tuple:
-        return tuple(
-            Vocabulary(
-                type_name=f"type{m}",
-                tokens=tuple(f"t{m}_w{v:04d}" for v in range(self.vocab_size)),
-            )
-            for m in range(self.M)
-        )
+        return _synthetic_vocabularies([self.vocab_size] * self.M)
 
     def build_truth(self) -> ModelParams:
         k, v = self.K, self.vocab_size
@@ -157,11 +180,36 @@ def save_scenario(scenario: Scenario, path) -> None:
         fh.write("\n")
 
 
+class ScenarioFormatError(ValueError):
+    """Scenario file cannot be parsed as a JSON object."""
+
+
+def _tuples(value):
+    """JSON arrays, at any depth, as tuples; anything else unchanged."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+
+
 def load_scenario(path) -> Scenario:
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    raw["sigma0_pairs"] = tuple(tuple(p) for p in raw.get("sigma0_pairs", ()))
-    return Scenario(**raw)
+    """Read a scenario saved by :func:`save_scenario`.
+
+    A file that is not UTF-8 JSON holding an object raises
+    ``ScenarioFormatError``; an object that is not a valid scenario (a missing
+    or unknown field, a value of the wrong type or out of range) raises a plain
+    ValueError.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except ValueError as exc:  # bad JSON or UTF-8, or an over-long int
+        raise ScenarioFormatError(f"{path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ScenarioFormatError(f"{path}: expected a JSON object")
+    if "sigma0_pairs" in raw:
+        raw["sigma0_pairs"] = _tuples(raw["sigma0_pairs"])
+    try:
+        return Scenario(**raw)
+    except TypeError as exc:  # a missing or unknown field
+        raise ValueError(str(exc)) from exc
 
 
 def _record_rng(seed: int, record_index: int) -> np.random.Generator:
@@ -174,7 +222,6 @@ def sample_corpus(
     lengths,
     seed: int,
     vocabularies=None,
-    retain_assignments: bool = False,
 ):
     """Draw a corpus of D records from ``truth``; returns (Corpus, PlantedModel).
 
@@ -188,19 +235,12 @@ def sample_corpus(
     if len(lengths) != truth.num_types or any(n < 0 for n in lengths):
         raise ValueError("lengths must give a non-negative count per type")
     if vocabularies is None:
-        vocabularies = tuple(
-            Vocabulary(
-                type_name=f"type{m}",
-                tokens=tuple(f"t{m}_w{v:04d}" for v in range(lb.shape[1])),
-            )
-            for m, lb in enumerate(truth.log_beta)
-        )
+        vocabularies = _synthetic_vocabularies(lb.shape[1] for lb in truth.log_beta)
     betas = [np.exp(lb) for lb in truth.log_beta]
     chol = np.linalg.cholesky(truth.sigma0)
     k = truth.num_phenotypes
 
     nus = np.empty((D, k))
-    assignments = [] if retain_assignments else None
     records = []
     width = max(5, len(str(D - 1)))
     for d in range(D):
@@ -209,13 +249,11 @@ def sample_corpus(
         nus[d] = nu
         pi = softmax(nu)
         bags = []
-        z_counts = np.zeros((truth.num_types, k), dtype=np.int64)
         for m, n_m in enumerate(lengths):
             if n_m == 0:
                 bags.append({})
                 continue
             z = rng.multinomial(n_m, pi)
-            z_counts[m] = z
             token_counts = np.zeros(betas[m].shape[1], dtype=np.int64)
             for topic, n_topic in enumerate(z):
                 if n_topic:
@@ -223,17 +261,12 @@ def sample_corpus(
             occupied = np.nonzero(token_counts)[0]
             bags.append({int(v): int(token_counts[v]) for v in occupied})
         records.append(RecordBags(record_id=f"rec{d:0{width}d}", bags=tuple(bags)))
-        if retain_assignments:
-            assignments.append(z_counts)
 
     corpus = Corpus(vocabularies=tuple(vocabularies), records=tuple(records))
-    planted = PlantedModel(
-        params=truth, per_record_nu=nus, per_token_assignments=assignments, seed=seed
-    )
-    return corpus, planted
+    return corpus, PlantedModel(params=truth, per_record_nu=nus, seed=seed)
 
 
-def sample_scenario(scenario: Scenario, seed: int, retain_assignments: bool = False):
+def sample_scenario(scenario: Scenario, seed: int):
     truth = scenario.build_truth()
     return sample_corpus(
         truth,
@@ -241,20 +274,7 @@ def sample_scenario(scenario: Scenario, seed: int, retain_assignments: bool = Fa
         [scenario.tokens_per_type] * scenario.M,
         seed,
         vocabularies=scenario.vocabularies(),
-        retain_assignments=retain_assignments,
     )
-
-
-def _tv_cost_matrix(learned: ModelParams, truth: ModelParams) -> np.ndarray:
-    """cost[i, j] = TV distance between learned row i and truth row j, summed
-    over types (equals the TV of the concatenated rows)."""
-    k = learned.num_phenotypes
-    cost = np.zeros((k, k))
-    for lb_learned, lb_truth in zip(learned.log_beta, truth.log_beta):
-        a = np.exp(lb_learned)
-        b = np.exp(lb_truth)
-        cost += 0.5 * np.abs(a[:, None, :] - b[None, :, :]).sum(axis=2)
-    return cost
 
 
 def _min_assignment_cost(cost: np.ndarray) -> float:
@@ -270,6 +290,13 @@ def match_phenotypes(learned: ModelParams, truth: ModelParams) -> list:
     permutation wins, fixed one row at a time against the optimal completion
     cost of the remainder.
     """
+    return _match(learned, truth)[0]
+
+
+def _match(learned: ModelParams, truth: ModelParams):
+    """``(perm, tv_by_type)`` of :func:`match_phenotypes`, where
+    ``tv_by_type[m][i, j]`` is the type-m TV distance between learned row i and
+    truth row j."""
     if learned.num_phenotypes != truth.num_phenotypes:
         raise ValueError("phenotype counts differ")
     if learned.num_types != truth.num_types:
@@ -278,7 +305,12 @@ def match_phenotypes(learned: ModelParams, truth: ModelParams) -> list:
         if lb_l.shape != lb_t.shape:
             raise ValueError("vocabulary sizes differ")
 
-    cost = _tv_cost_matrix(learned, truth)
+    tv_by_type = [
+        0.5 * np.abs(np.exp(lb_l)[:, None, :] - np.exp(lb_t)[None, :, :]).sum(axis=2)
+        for lb_l, lb_t in zip(learned.log_beta, truth.log_beta)
+    ]
+    # summed in type order: the TV of the concatenated rows
+    cost = sum(tv_by_type)
     k = cost.shape[0]
     target = _min_assignment_cost(cost)
     available = list(range(k))
@@ -298,7 +330,7 @@ def match_phenotypes(learned: ModelParams, truth: ModelParams) -> list:
                 break
         else:
             raise RuntimeError("assignment refinement failed to place a row")
-    return perm
+    return perm, tv_by_type
 
 
 def recovery_report(
@@ -312,15 +344,9 @@ def recovery_report(
     the matched pair.
     """
     truth = planted.params
-    perm = match_phenotypes(learned.params, truth)
+    perm, tv_by_type = _match(learned.params, truth)
     k = truth.num_phenotypes
-
-    tv = np.zeros((k, truth.num_types))
-    for m, (lb_l, lb_t) in enumerate(zip(learned.params.log_beta, truth.log_beta)):
-        a = np.exp(lb_l)
-        b = np.exp(lb_t)
-        for i in range(k):
-            tv[i, m] = 0.5 * np.abs(a[i] - b[perm[i]]).sum()
+    tv = np.stack([tv_m[np.arange(k), perm] for tv_m in tv_by_type], axis=1)
 
     inv_perm = {truth_i: learned_i for learned_i, truth_i in enumerate(perm)}
     planted_corr = covariance_to_correlation(truth.sigma0)

@@ -39,6 +39,10 @@ from .corpus import RecordBags
 from .numerics import NonFiniteError, _log_normalize, maximize_concave, ridged_cholesky
 
 
+# How far a topic row's probabilities may sum from 1 before params are rejected.
+ROW_SUM_TOL = 1e-9
+
+
 def _logdet(chol) -> float:
     """log det A from A's ``cho_factor`` pair."""
     return 2.0 * float(np.log(np.diag(chol[0])).sum())
@@ -98,7 +102,7 @@ class ModelParams:
         params.validate()
         return params
 
-    def validate(self, row_tol: float = 1e-9) -> None:
+    def validate(self) -> None:
         k = self.num_phenotypes
         if self.sigma0.shape != (k, k) or self.sigma0_inv.shape != (k, k):
             raise ValueError("sigma0 / sigma0_inv shape does not match mu0")
@@ -110,8 +114,8 @@ class ModelParams:
             if not np.all(np.isfinite(lb)):
                 raise ValueError(f"log_beta[{m}] contains non-finite entries")
             row_sums = np.exp(lb).sum(axis=1)
-            if np.abs(row_sums - 1.0).max() > row_tol:
-                raise ValueError(f"rows of exp(log_beta[{m}]) must sum to 1 within {row_tol}")
+            if np.abs(row_sums - 1.0).max() > ROW_SUM_TOL:
+                raise ValueError(f"rows of exp(log_beta[{m}]) must sum to 1 within {ROW_SUM_TOL}")
 
 
 @dataclass

@@ -16,7 +16,7 @@ from phenotopics.cli import main
 from phenotopics.corpus import Corpus, RecordBags, Vocabulary, save_corpus
 from phenotopics.learning import TrainConfig, initialize, m_step, train, vocab_fingerprint
 from phenotopics.learning import TrainedModel
-from phenotopics.phenotype import correlation_graph, correlation_matrix
+from phenotopics.phenotype import correlation_graph, covariance_to_correlation
 from phenotopics.summarize import (
     SANKEY_SCHEMA,
     coverage_count,
@@ -152,7 +152,7 @@ def test_criterion_05_correlation_recovery():
     assert len(result.correlation_recovery) == 1
     learned_rho = result.correlation_recovery[0]["learned_rho"]
 
-    corr = correlation_matrix(model, method="prior")
+    corr = covariance_to_correlation(model.params.sigma0)
     off_diag = np.abs(corr - np.diag(np.diag(corr)))
     max_off = float(off_diag.max())
     elapsed = time.monotonic() - started

@@ -1,11 +1,17 @@
 """End-to-end CLI runs: exit codes, artifacts, manifests, reproducibility."""
 
+import contextlib
 import csv
+import io
 import json
+import os
+import tempfile
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phenotopics.cli import main
 from phenotopics.corpus import save_corpus
@@ -170,6 +176,14 @@ class TestTrain:
         code = main([command, *flags, "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == expected
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("em_tol", ["nan", "-1e-5"])
+    def test_em_tol_that_can_never_be_met_is_argument_error(self, corpus_dir, tmp_path, em_tol):
+        out = tmp_path / "o"
+        code = main(["train", "--corpus", str(corpus_dir), "--k", "2", "--seed", "0",
+                     "--em-tol", em_tol, "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--doc-tol", "--beta-smoothing", "--noise-scale"])
     def test_retired_training_flags_are_argument_errors(self, corpus_dir, tmp_path, flag):
@@ -449,6 +463,110 @@ class TestEval:
                      "--seed", "4", "--out", str(out)])
         assert code == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "content, expected",
+        [
+            (b"\xff\xfe{}", 2),
+            (b'{"K": ' + b"9" * 5000 + b"}", 2),
+            (b"[1, 2]", 2),
+            (b'{"name": "x"', 2),
+            (b'{"name": "x", "K": 2.5, "M": 1, "vocab_size": 6, "D": 3, "tokens_per_type": 4}',
+             1),
+            (b'{"name": "x", "M": 1, "vocab_size": 6, "D": 3, "tokens_per_type": 4}', 1),
+            (b'{"name": "x", "K": 2, "M": 1, "vocab_size": 6, "D": 3, "tokens_per_type": 4,'
+             b' "bogus": 1}', 1),
+            (b'{"name": "x", "K": 2, "M": 1, "vocab_size": 6, "D": 3, "tokens_per_type": 4,'
+             b' "sigma0_pairs": [[0, 1]]}', 1),
+        ],
+        ids=["not-utf8", "huge-int", "list", "truncated", "float-K", "missing-K", "unknown-key",
+             "short-pair"],
+    )
+    def test_malformed_scenario_exits_without_traceback(
+        self, tmp_path, capsys, content, expected
+    ):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(content)
+        out = tmp_path / "e"
+        code = main(["eval", "--scenario", str(path), "--seed", "1", "--out", str(out)])
+        assert code == expected
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--tv-threshold", "nan"),
+            ("--tv-threshold", "-0.1"),
+            ("--tv-threshold", "1.5"),
+            ("--corr-threshold", "nan"),
+            ("--corr-threshold", "-0.1"),
+            ("--corr-threshold", "1.5"),
+        ],
+    )
+    def test_threshold_outside_unit_interval_is_argument_error(self, tmp_path, flag, value):
+        out = tmp_path / "e"
+        code = main(["eval", "--scenario", str(self.scenario_file(tmp_path)), "--seed", "4",
+                     flag, value, "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+
+
+# A valid scenario small enough that one EM iteration takes milliseconds.
+TINY_SCENARIO = {
+    "name": "tiny", "K": 2, "M": 1, "vocab_size": 4, "D": 3, "tokens_per_type": 5,
+    "block_mass": 0.9, "block_overlap": 0, "sigma0_pairs": [[0, 1, 0.5]],
+}
+# Replacement values of every JSON type but integer, so no mutation can ask
+# for a large corpus.
+NON_INTEGER_JSON = st.one_of(
+    st.text(max_size=5),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+    st.lists(st.one_of(st.text(max_size=3), st.booleans(), st.none()), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.booleans(), max_size=2),
+)
+
+
+@st.composite
+def mutated_scenarios(draw):
+    raw = dict(TINY_SCENARIO)
+    kind = draw(st.sampled_from(["replace", "drop", "add", "wrap"]))
+    if kind == "replace":
+        raw[draw(st.sampled_from(sorted(raw)))] = draw(NON_INTEGER_JSON)
+    elif kind == "drop":
+        del raw[draw(st.sampled_from(sorted(raw)))]
+    elif kind == "add":
+        raw[draw(st.text(max_size=8).filter(lambda key: key not in raw))] = draw(NON_INTEGER_JSON)
+    else:
+        return [raw]
+    return raw
+
+
+class TestEvalScenarioProperty:
+    def test_tiny_scenario_is_valid(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(TINY_SCENARIO))
+        code = main(["eval", "--scenario", str(path), "--seed", "1", "--max-em-iters", "1",
+                     "--out", str(tmp_path / "out")])
+        assert code in (0, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(scenario=mutated_scenarios())
+    def test_mutated_scenario_ends_in_documented_exit_code(self, scenario):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "scenario.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(scenario, fh)
+            out = os.path.join(tmp, "out")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["eval", "--scenario", path, "--seed", "1", "--max-em-iters", "1",
+                             "--out", out])
+            assert code in (0, 1, 2, 3)
+            assert "Traceback" not in err.getvalue()
+            assert sorted(os.listdir(tmp)) in (["scenario.json"], ["out", "scenario.json"])
 
 
 class TestCoverage:

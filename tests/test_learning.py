@@ -68,6 +68,14 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="K"):
             TrainConfig(K=1)
 
+    @pytest.mark.parametrize("em_tol", [float("nan"), -1e-5])
+    def test_em_tol_that_can_never_be_met_rejected(self, em_tol):
+        with pytest.raises(ValueError, match="em_tol"):
+            TrainConfig(K=2, em_tol=em_tol)
+
+    def test_em_tol_zero_allowed(self):
+        assert TrainConfig(K=2, em_tol=0.0).em_tol == 0.0
+
 
 class TestInitialize:
     def test_zero_noise_gives_exactly_uniform_rows(self, monkeypatch):

@@ -1,19 +1,11 @@
-"""Phenotype definitions, relatedness graph, prevalence."""
+"""Phenotype definitions and the relatedness graph."""
 
 import numpy as np
 import pytest
 
 from phenotopics.corpus import Vocabulary
 from phenotopics.learning import TrainConfig, TrainedModel, vocab_fingerprint
-from phenotopics.phenotype import (
-    RelatednessGraph,
-    correlation_graph,
-    correlation_matrix,
-    covariance_to_correlation,
-    extract_phenotypes,
-    prevalence,
-    split_by_prevalence,
-)
+from phenotopics.phenotype import correlation_graph, covariance_to_correlation, extract_phenotypes
 from phenotopics.variational import DocPosterior, ModelParams
 
 
@@ -130,7 +122,7 @@ class TestCorrelationGraph:
         root = rng.normal(size=(4, 4))
         sigma = root @ root.T + np.eye(4)
         model = model_from(np.zeros(4), sigma, [np.full((4, 5), 0.2)], self.vocab(4))
-        corr = correlation_matrix(model)
+        corr = correlation_graph(model).correlation
         np.testing.assert_array_equal(np.diag(corr), np.ones(4))
         np.testing.assert_array_equal(corr, corr.T)
         assert np.abs(corr).max() <= 1.0 + 1e-12
@@ -141,7 +133,7 @@ class TestCorrelationGraph:
         m1 = model_from(np.zeros(3), sigma, [np.full((3, 4), 0.25)], self.vocab(3))
         m2 = model_from(np.zeros(3), 7.3 * sigma, [np.full((3, 4), 0.25)], self.vocab(3))
         np.testing.assert_allclose(
-            correlation_matrix(m1), correlation_matrix(m2), atol=1e-12
+            correlation_graph(m1).correlation, correlation_graph(m2).correlation, atol=1e-12
         )
 
     @pytest.mark.parametrize(
@@ -156,100 +148,7 @@ class TestCorrelationGraph:
         with pytest.raises(ValueError, match=match):
             covariance_to_correlation(sigma)
 
-    def test_empirical_mode_uses_posterior_proportions(self):
-        posts = [
-            posterior_with_proportions([0.9, 0.05, 0.05]),
-            posterior_with_proportions([0.05, 0.9, 0.05]),
-            posterior_with_proportions([0.8, 0.1, 0.1]),
-            posterior_with_proportions([0.1, 0.8, 0.1]),
-        ]
-        model = model_from(
-            np.zeros(3), np.eye(3), [np.full((3, 4), 0.25)], self.vocab(3), posts
-        )
-        corr = correlation_matrix(model, method="empirical")
-        expected = np.corrcoef(
-            np.stack([p.proportions for p in posts]), rowvar=False
-        )
-        np.testing.assert_allclose(corr[0, 1], expected[0, 1], atol=1e-12)
-
     def test_threshold_validation(self, dx_model):
         with pytest.raises(ValueError):
             correlation_graph(dx_model, threshold=1.5)
         assert correlation_graph(dx_model, threshold=1.0).edges == []
-
-
-class TestPrevalence:
-    def model_with(self, proportions_list):
-        k = len(proportions_list[0])
-        vocab = (Vocabulary("dx", tuple(f"t{i}" for i in range(k))),)
-        posts = [posterior_with_proportions(p) for p in proportions_list]
-        return model_from(np.zeros(k), np.eye(k), [np.full((k, k), 1.0 / k)], vocab, posts)
-
-    def test_uniform_records_all_present_at_low_threshold(self):
-        model = self.model_with([[0.25] * 4] * 5)
-        np.testing.assert_array_equal(prevalence(model, 1.0 / 8), np.ones(4))
-
-    def test_high_threshold_empty(self):
-        model = self.model_with([[0.7, 0.3], [0.6, 0.4]])
-        np.testing.assert_array_equal(prevalence(model, 0.99), np.zeros(2))
-
-    def test_counts_fraction_of_records(self):
-        model = self.model_with([[0.3, 0.7], [0.1, 0.9], [0.25, 0.75], [0.05, 0.95]])
-        np.testing.assert_allclose(prevalence(model, 0.2), [0.5, 1.0])
-
-    def test_missing_posteriors_rejected(self, dx_model):
-        with pytest.raises(ValueError, match="posteriors"):
-            prevalence(dx_model, 0.05)
-
-    def test_planted_membership_fraction_recovered(self):
-        # 30% of records carry phenotype 0 at weight 0.35, the rest at 0.05;
-        # posteriors inferred under the planted model should put prevalence at
-        # threshold 0.2 close to 0.3
-        from phenotopics.learning import attach_posteriors
-        from phenotopics.corpus import Corpus, RecordBags
-
-        k, v, d = 3, 18, 100
-        beta = np.full((k, v), 0.01 / (v - 6))
-        for i in range(k):
-            beta[i, 6 * i : 6 * i + 6] = 0.99 / 6
-        beta /= beta.sum(axis=1, keepdims=True)
-        vocab = Vocabulary("dx", tuple(f"t{i}" for i in range(v)))
-        params = ModelParams.create(np.zeros(k), np.eye(k), [np.log(beta)])
-        model = model_from(np.zeros(k), np.eye(k), [beta], (vocab,))
-
-        rng = np.random.default_rng(77)
-        records = []
-        for i in range(d):
-            w0 = 0.35 if i < 0.3 * d else 0.05
-            weights = np.array([w0, (1 - w0) * 0.5, (1 - w0) * 0.5])
-            counts = np.zeros(v, dtype=int)
-            for j in range(k):
-                counts += rng.multinomial(int(round(200 * weights[j])), beta[j])
-            bag = {int(t): int(c) for t, c in enumerate(counts) if c}
-            records.append(RecordBags(f"rec{i:03d}", (bag,)))
-        corpus = Corpus(vocabularies=(vocab,), records=tuple(records))
-        model = attach_posteriors(model, corpus)
-        assert abs(prevalence(model, 0.2)[0] - 0.3) <= 0.05
-
-
-class TestSplitByPrevalence:
-    def graph(self, edges):
-        return RelatednessGraph(correlation=np.eye(4), edges=edges, threshold=0.5)
-
-    def test_both_common_endpoints(self):
-        common, rare = split_by_prevalence(
-            self.graph([(0, 1, 0.8)]), [0.1, 0.1, 0.01, 0.01], cutoff=0.05
-        )
-        assert common == [(0, 1, 0.8)]
-        assert rare == []
-
-    def test_one_rare_endpoint(self):
-        common, rare = split_by_prevalence(
-            self.graph([(0, 2, 0.8)]), [0.1, 0.1, 0.01, 0.01], cutoff=0.05
-        )
-        assert common == []
-        assert rare == [(0, 2, 0.8)]
-
-    def test_empty_graph(self):
-        common, rare = split_by_prevalence(self.graph([]), [0.1] * 4, cutoff=0.05)
-        assert common == [] and rare == []

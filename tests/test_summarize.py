@@ -172,16 +172,6 @@ class TestCoverageHistogram:
         fractions = coverage_histogram(model, mass=0.9)
         assert fractions[(1, 5)] > 0.5
 
-    def test_overlapping_buckets_rejected(self):
-        model = self.model_with([[0.9, 0.1]])
-        with pytest.raises(ValueError, match="overlapping"):
-            coverage_histogram(model, buckets=[(1, 5), (5, 10), (11, None)])
-
-    def test_gap_in_buckets_rejected(self):
-        model = self.model_with([[0.5, 0.3, 0.2]])
-        with pytest.raises(ValueError, match="cover"):
-            coverage_histogram(model, mass=0.9, buckets=[(1, 1), (5, None)])
-
     def test_bucket_labels(self):
         assert bucket_label((1, 5)) == "1-5"
         assert bucket_label((21, None)) == "21+"

@@ -56,9 +56,8 @@ class TestSampleCorpus:
         # distribution approaches that row
         row = np.array([[0.5, 0.25, 0.15, 0.07, 0.03]])
         truth = ModelParams.create(np.zeros(1), np.eye(1), [np.log(row)])
-        corpus, planted = sample_corpus(truth, D=1, lengths=[10_000], seed=7,
-                                        retain_assignments=True)
-        np.testing.assert_array_equal(planted.per_token_assignments[0], [[10_000]])
+        corpus, _ = sample_corpus(truth, D=1, lengths=[10_000], seed=7)
+        assert sum(corpus.records[0].bags[0].values()) == 10_000
         counts = np.zeros(5)
         for v, c in corpus.records[0].bags[0].items():
             counts[v] = c
@@ -169,6 +168,21 @@ class TestRecoveryReport:
         # TV(uniform, near-point-mass) = 1 - 1/V
         assert report.mean_tv == pytest.approx(1.0 - 1.0 / v, abs=1e-6)
 
+    @pytest.mark.parametrize("k, v", [(2, 7), (5, 40), (5, 1000)])
+    def test_per_phenotype_tv_is_the_matched_rows_tv_bitwise(self, rng, k, v):
+        truth = make_params(np.zeros(k), np.eye(k), [rng.dirichlet(np.ones(v), k)] * 2)
+        learned = make_params(
+            np.zeros(k), np.eye(k), [rng.dirichlet(np.ones(v), k) for _ in range(2)]
+        )
+        _, planted = sample_corpus(truth, D=1, lengths=[1, 1], seed=0)
+        report = recovery_report(wrap_model(learned, ()), planted)
+        expected = np.zeros((k, 2))
+        for m in range(2):
+            a, b = np.exp(learned.log_beta[m]), np.exp(truth.log_beta[m])
+            for i, j in enumerate(report.matching):
+                expected[i, m] = 0.5 * np.abs(a[i] - b[j]).sum()
+        np.testing.assert_array_equal(report.per_phenotype_tv, expected)
+
     def test_permuted_truth_reports_learned_correlation_under_matching(self, rng):
         rows = rng.dirichlet(np.ones(10), size=4)
         sigma = np.eye(4)
@@ -228,6 +242,15 @@ class TestScenarios:
             dict(block_overlap=-5),
             dict(block_mass=1.5),
             dict(sigma0_pairs=((0, 3, 0.5),)),
+            dict(K=2.5),
+            dict(D=True),
+            dict(block_overlap=None),
+            dict(name=7),
+            dict(block_mass="high"),
+            dict(sigma0_pairs=((0, 1),)),
+            dict(sigma0_pairs=((0.0, 1, 0.5),)),
+            dict(sigma0_pairs=((0, 1, None),)),
+            dict(sigma0_pairs=[(0, 1, 0.5)]),
         ):
             fields = dict(name="bad", K=3, M=1, vocab_size=12, D=4, tokens_per_type=6)
             fields.update(bad)
