@@ -1,11 +1,13 @@
 """Command-line surface: train, phenotypes, summarize, eval, coverage.
 
-Exit codes: 0 success, 1 bad arguments, 2 I/O or parse failure, 3 convergence
-or threshold not met, 4 vocabulary incompatibility. Diagnostics go to stderr;
-data goes to files. Every run writes a ``manifest.json`` next to its outputs
-echoing the command, arguments, seed, and convergence flags; rerunning with
-the same inputs reproduces the primary outputs byte for byte (the manifest's
-wall time is the only timestamp anywhere).
+Exit codes: 0 success, 1 bad arguments, 2 I/O or parse failure (an unreadable
+file, a ``CorpusError`` or a ``ModelFormatError``), 3 convergence or threshold
+not met, 4 vocabulary incompatibility (a ``FingerprintError``); :func:`main`
+maps each error to its code in one place. Diagnostics go to stderr; data goes
+to files. A run that exits 0 or 3 writes a ``manifest.json`` next to its
+outputs echoing the command, arguments, seed, and convergence flags;
+rerunning with the same inputs reproduces the primary outputs byte for byte
+(the manifest's wall time is the only timestamp anywhere).
 
 All randomness flows through --seed. The E-step thread count comes from
 --threads, the PHENOTOPICS_THREADS environment variable, or is 1, in that
@@ -98,41 +100,20 @@ def _default_threads(value) -> int:
     return threads
 
 
-def _write_manifest(out_dir, command, args, outputs, started, extra=None):
+def _write_manifest(args, outputs, started, extra):
     echo = {k: v for k, v in vars(args).items() if k != "func"}
     manifest = {
         "artifact_version": __version__,
-        "command": command,
+        "command": args.command,
         "args": echo,
         "seed": echo.get("seed"),
         "outputs": outputs,
         "wall_time_s": time.monotonic() - started,
     }
-    if extra:
-        manifest.update(extra)
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+    manifest.update(extra)
+    with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, ensure_ascii=False, indent=2)
         fh.write("\n")
-
-
-def _load_corpus_or_die(path):
-    try:
-        return load_corpus(path)
-    except FileNotFoundError as exc:
-        raise _CliError(EXIT_IO, f"cannot read corpus: {exc}")
-    except CorpusError as exc:
-        raise _CliError(EXIT_IO, f"corpus error: {exc}")
-
-
-def _load_model_or_die(path):
-    try:
-        return load_model(path)
-    except FileNotFoundError as exc:
-        raise _CliError(EXIT_IO, f"cannot read model: {exc}")
-    except FingerprintError as exc:
-        raise _CliError(EXIT_INCOMPATIBLE, str(exc))
-    except ModelFormatError as exc:
-        raise _CliError(EXIT_IO, str(exc))
 
 
 def _ensure_out(path):
@@ -140,10 +121,9 @@ def _ensure_out(path):
     return path
 
 
-def cmd_train(args) -> int:
-    started = time.monotonic()
+def cmd_train(args) -> tuple:
     _require(args, "corpus", "k", "seed")
-    corpus = _load_corpus_or_die(args.corpus)
+    corpus = load_corpus(args.corpus)
     try:
         cfg = TrainConfig(
             K=args.k,
@@ -167,33 +147,27 @@ def cmd_train(args) -> int:
         writer.writerow(["iteration", "objective"])
         for i, obj in enumerate(model.history):
             writer.writerow([i, repr(obj)])
-    _write_manifest(
-        out,
-        "train",
-        args,
-        {"model": model_path, "history": history_path},
-        started,
-        extra={
-            "converged": model.converged,
-            "em_iterations": len(model.history),
-            "nonconverged_records": sum(not post.converged for post in model.doc_posteriors),
-        },
-    )
-    if not model.converged:
+    extra = {
+        "converged": model.converged,
+        "em_iterations": len(model.history),
+        "nonconverged_records": sum(not post.converged for post in model.doc_posteriors),
+    }
+    if model.converged:
+        _log(f"converged after {len(model.history)} EM iterations")
+        code = EXIT_OK
+    else:
         _log("training hit max_em_iters without meeting em_tol (model still written)")
-        return EXIT_THRESHOLD
-    _log(f"converged after {len(model.history)} EM iterations")
-    return EXIT_OK
+        code = EXIT_THRESHOLD
+    return code, {"model": model_path, "history": history_path}, extra
 
 
-def cmd_phenotypes(args) -> int:
-    started = time.monotonic()
+def cmd_phenotypes(args) -> tuple:
     _require(args, "model", "label_type")
     if not 0.0 <= args.corr_threshold <= 1.0:
         raise _CliError(EXIT_ARGS, "--corr-threshold must lie in [0, 1]")
     if args.top_n < 1:
         raise _CliError(EXIT_ARGS, "--top-n must be >= 1")
-    model = _load_model_or_die(args.model)
+    model = load_model(args.model)
     try:
         definitions = extract_phenotypes(model, top_n=args.top_n, label_type=args.label_type)
     except ValueError as exc:
@@ -207,31 +181,17 @@ def cmd_phenotypes(args) -> int:
     save_phenotype_report(definitions, report_path)
     save_graph_json(graph, graph_json_path)
     save_graph_csv(graph, graph_csv_path)
-    _write_manifest(
-        out,
-        "phenotypes",
-        args,
-        {"report": report_path, "graph_json": graph_json_path, "graph_csv": graph_csv_path},
-        started,
-        extra={"num_edges": len(graph.edges)},
-    )
     _log(f"{len(definitions)} phenotypes, {len(graph.edges)} relatedness edges")
-    return EXIT_OK
+    outputs = {"report": report_path, "graph_json": graph_json_path, "graph_csv": graph_csv_path}
+    return EXIT_OK, outputs, {"num_edges": len(graph.edges)}
 
 
-def cmd_summarize(args) -> int:
-    started = time.monotonic()
+def cmd_summarize(args) -> tuple:
     _require(args, "model", "record_file")
     if args.top_n < 1:
         raise _CliError(EXIT_ARGS, "--top-n must be >= 1")
-    model = _load_model_or_die(args.model)
-
-    try:
-        records = read_records_jsonl(args.record_file, model.vocabularies).records
-    except FileNotFoundError as exc:
-        raise _CliError(EXIT_IO, f"cannot read record file: {exc}")
-    except CorpusError as exc:
-        raise _CliError(EXIT_IO, f"record file error: {exc}")
+    model = load_model(args.model)
+    records = read_records_jsonl(args.record_file, model.vocabularies).records
 
     by_record: dict = {}
     for rec in records:
@@ -253,12 +213,10 @@ def cmd_summarize(args) -> int:
             f"record {record_id}: {len(trajectory.bins)} bins, "
             f"top phenotypes {trajectory.selected}"
         )
-    _write_manifest(out, "summarize", args, outputs, started)
-    return EXIT_OK
+    return EXIT_OK, outputs, {}
 
 
-def cmd_eval(args) -> int:
-    started = time.monotonic()
+def cmd_eval(args) -> tuple:
     _require(args, "seed")
     if not 0.0 <= args.tv_threshold <= 1.0:
         raise _CliError(EXIT_ARGS, "--tv-threshold must lie in [0, 1]")
@@ -308,33 +266,22 @@ def cmd_eval(args) -> int:
     with open(report_path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, ensure_ascii=False, indent=2)
         fh.write("\n")
-    _write_manifest(
-        out,
-        "eval",
-        args,
-        {"report": report_path},
-        started,
-        extra={"mean_tv": report.mean_tv, "converged": model.converged},
-    )
     _log(f"mean TV distance after matching: {report.mean_tv:.4f}")
+    code = EXIT_OK
     if report.mean_tv > args.tv_threshold:
         _log(f"threshold {args.tv_threshold} not met")
-        return EXIT_THRESHOLD
-    return EXIT_OK
+        code = EXIT_THRESHOLD
+    return code, {"report": report_path}, {"mean_tv": report.mean_tv, "converged": model.converged}
 
 
-def cmd_coverage(args) -> int:
-    started = time.monotonic()
+def cmd_coverage(args) -> tuple:
     _require(args, "model", "corpus")
     if not 0.0 < args.mass <= 1.0:
         raise _CliError(EXIT_ARGS, "--mass must lie in (0, 1]")
-    model = _load_model_or_die(args.model)
-    corpus = _load_corpus_or_die(args.corpus)
+    model = load_model(args.model)
+    corpus = load_corpus(args.corpus)
     threads = _default_threads(args.threads)
-    try:
-        model = attach_posteriors(model, corpus, threads=threads)
-    except FingerprintError as exc:
-        raise _CliError(EXIT_INCOMPATIBLE, str(exc))
+    model = attach_posteriors(model, corpus, threads=threads)
     fractions = coverage_histogram(model, mass=args.mass)
 
     out = _ensure_out(args.out)
@@ -344,10 +291,9 @@ def cmd_coverage(args) -> int:
         writer.writerow(["bucket", "fraction"])
         for bucket, fraction in fractions.items():
             writer.writerow([bucket_label(bucket), repr(fraction)])
-    _write_manifest(out, "coverage", args, {"histogram": hist_path}, started)
     for bucket, fraction in fractions.items():
         _log(f"records explained by {bucket_label(bucket)} phenotypes: {fraction:.1%}")
-    return EXIT_OK
+    return EXIT_OK, {"histogram": hist_path}, {}
 
 
 def build_parser():
@@ -451,6 +397,12 @@ def _apply_config_file(commands, argv):
 
 
 def main(argv=None) -> int:
+    """Parse ``argv``, run its subcommand and return the exit code.
+
+    Each ``cmd_*`` returns ``(exit_code, outputs, extra)`` with code 0 or 3,
+    and only then is the manifest written; every other code comes from an
+    exception mapped below.
+    """
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = build_parser()
     try:
@@ -459,10 +411,19 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return EXIT_ARGS if exc.code not in (0, None) else 0
-        return args.func(args)
+        started = time.monotonic()
+        code, outputs, extra = args.func(args)
+        _write_manifest(args, outputs, started, extra)
+        return code
     except _CliError as exc:
         _log(f"error: {exc}")
         return exc.code
+    except FingerprintError as exc:
+        _log(f"error: {exc}")
+        return EXIT_INCOMPATIBLE
+    except (CorpusError, ModelFormatError) as exc:
+        _log(f"error: {exc}")
+        return EXIT_IO
     except OSError as exc:
         _log(f"I/O error: {exc}")
         return EXIT_IO

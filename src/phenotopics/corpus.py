@@ -38,6 +38,8 @@ class Vocabulary:
     tokens: tuple
 
     def __post_init__(self):
+        if not self.tokens:  # every topic row is a distribution over the tokens
+            raise CorpusError(f"vocabulary {self.type_name!r} has no tokens")
         if len(set(self.tokens)) != len(self.tokens):
             raise CorpusError(f"vocabulary {self.type_name!r} contains duplicate tokens")
 

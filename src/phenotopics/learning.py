@@ -270,11 +270,16 @@ def load_model(path) -> TrainedModel:
             f"{path}: unsupported format version {version!r} (expected {MODEL_FORMAT_VERSION})"
         )
     try:
-        k = int(payload["K"])
+        k = payload["K"]
+        if type(k) is not int:  # bool subclasses int but is not a size
+            raise ValueError(f"K must be an integer, got {k!r}")
         vocabularies = tuple(
             Vocabulary(type_name=name, tokens=tuple(tokens))
             for name, tokens in payload["vocabularies"].items()
         )
+        m = payload["M"]
+        if type(m) is not int or m != len(vocabularies):
+            raise ValueError(f"M is {m!r} but there are {len(vocabularies)} vocabularies")
         mu0 = np.asarray(payload["mu0"], dtype=float)
         sigma0 = np.asarray(payload["sigma0"], dtype=float).reshape(k, k)
         log_beta = [
@@ -285,8 +290,15 @@ def load_model(path) -> TrainedModel:
         for key in _RETIRED_CONFIG_KEYS:
             config.pop(key, None)
         config = TrainConfig(**config)
+        if type(config.K) is not int or config.K != k:
+            raise ValueError(f"config K {config.K!r} differs from K {k}")
         stored_fp = payload["vocab_fingerprint"]
-        history = list(payload.get("history", []))
+        history = payload["history"]
+        if not isinstance(history, list) or any(type(h) not in (int, float) for h in history):
+            raise ValueError("history must be a list of numbers")
+        converged = payload["converged"]
+        if type(converged) is not bool:
+            raise ValueError(f"converged must be true or false, got {converged!r}")
         params = ModelParams.create(mu0, sigma0, log_beta)
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: malformed model payload ({exc})") from exc
@@ -304,5 +316,5 @@ def load_model(path) -> TrainedModel:
         history=history,
         config=config,
         vocab_fingerprint=stored_fp,
-        converged=bool(payload.get("converged", False)),
+        converged=converged,
     )

@@ -41,6 +41,9 @@ from .numerics import NonFiniteError, _log_normalize, maximize_concave, ridged_c
 
 # How far a topic row's probabilities may sum from 1 before params are rejected.
 ROW_SUM_TOL = 1e-9
+# Largest Newton step (sup-norm) left at a returned mode that still counts as
+# converged; it decides only DocPosterior.converged, never the mode itself.
+CONVERGED_STEP_TOL = 1e-4
 
 
 def _logdet(chol) -> float:
@@ -81,6 +84,8 @@ class ModelParams:
         a sigma0 that :func:`ridged_cholesky` would have to ridge is rejected.
         """
         mu0 = np.asarray(mu0, dtype=float)
+        if mu0.ndim != 1:
+            raise ValueError(f"mu0 must be a vector, got shape {mu0.shape}")
         sigma0 = np.asarray(sigma0, dtype=float)
         sigma0 = 0.5 * (sigma0 + sigma0.T)
         try:
@@ -262,7 +267,6 @@ def _invert_neg_hessian(hessian: np.ndarray):
 def infer_document(
     record: RecordBags,
     params: ModelParams,
-    tol: float = 1e-4,
     nu_init=None,
 ) -> DocPosterior:
     """Laplace posterior for one record: one Newton ascent on the collapsed objective.
@@ -272,9 +276,9 @@ def infer_document(
     q(z) is read off at the mode, and the covariance is the inverse of
     N (diag(pi) - pi pi') + sigma0_inv there. The record counts as converged
     when Newton met its gradient tolerance or the Newton step left at the
-    returned mode is at most ``tol`` in sup-norm (the float floor of the
-    objective can stop the line search first). Deterministic: no randomness
-    anywhere in the updates.
+    returned mode is at most ``CONVERGED_STEP_TOL`` in sup-norm (the float
+    floor of the objective can stop the line search first). Deterministic: no
+    randomness anywhere in the updates.
 
     The variational objective E_q[log p(nu, z, x)] + H[q], with the
     logsumexp(nu) expectation taken to second order at the mode, is
@@ -305,6 +309,6 @@ def infer_document(
         expected_counts=expected,
         proportions=pi,
         elbo=elbo,
-        converged=result.converged or result.step_norm <= tol,
+        converged=result.converged or result.step_norm <= CONVERGED_STEP_TOL,
         iterations=result.iterations,
     )

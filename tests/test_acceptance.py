@@ -109,7 +109,7 @@ def test_criterion_03_small_instance_posterior_oracle():
     weights = like * np.exp(-0.5 * (nus**2).sum(axis=1))
     oracle_mean = (weights[:, None] * pis).sum(axis=0) / weights.sum()
 
-    post = infer_document(record, params, tol=1e-6)
+    post = infer_document(record, params)
     ranking = np.argsort(-post.proportions)
     oracle_ranking = np.argsort(-oracle_mean)
     gap = float(np.abs(post.proportions - oracle_mean).max())

@@ -1,6 +1,7 @@
 """End-to-end CLI runs: exit codes, artifacts, manifests, reproducibility."""
 
 import contextlib
+import copy
 import csv
 import io
 import json
@@ -94,6 +95,17 @@ class TestTrain:
         err = capsys.readouterr().err
         assert code == 2
         assert "2**53" in err and "Traceback" not in err
+
+    def test_empty_vocabulary_is_io_error(self, tmp_path, capsys):
+        corpus = tmp_path / "empty_vocab"
+        corpus.mkdir()
+        (corpus / "vocab.json").write_text(json.dumps({"a": [], "b": ["x", "y"]}))
+        (corpus / "records.jsonl").write_text('{"id": "p1", "bags": {"b": {"x": 2}}}\n')
+        code = main(["train", "--corpus", str(corpus), "--k", "2", "--seed", "0",
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "no tokens" in err and "Traceback" not in err
 
     def test_non_convergence_exits_3_but_writes_model(self, corpus_dir, tmp_path):
         out = tmp_path / "short"
@@ -298,9 +310,18 @@ class TestPhenotypes:
             (lambda p: p.update(vocabularies=[]), 2),
             (lambda p: p.update(history=5), 2),
             (lambda p: p.update(vocab_fingerprint=5), 4),
+            (lambda p: p.update(K=2.5), 2),
+            (lambda p: p["config"].update(K=3), 2),
+            (lambda p: p.update(M=7), 2),
+            (lambda p: p.update(history="abc"), 2),
+            (lambda p: p.update(converged="no"), 2),
+            (lambda p: p.update(mu0=1.0), 2),
+            (lambda p: p["vocabularies"].update(dx=[]), 2),
         ],
         ids=["sigma0-not-pd", "row-sum", "mu0-short", "huge-K", "infinite-K",
-             "vocabularies-list", "history-int", "fingerprint-int"],
+             "vocabularies-list", "history-int", "fingerprint-int", "fractional-K",
+             "config-K-differs", "M-differs", "history-string", "converged-string",
+             "mu0-scalar", "empty-vocabulary"],
     )
     def test_model_that_is_not_a_model_exits_without_traceback(
         self, trained, tmp_path, capsys, corrupt, expected
@@ -567,6 +588,174 @@ class TestEvalScenarioProperty:
             assert code in (0, 1, 2, 3)
             assert "Traceback" not in err.getvalue()
             assert sorted(os.listdir(tmp)) in (["scenario.json"], ["out", "scenario.json"])
+
+
+# Replacement values of any JSON type; integers stay small so that no
+# mutation asks for a large model or corpus.
+ANY_JSON = st.one_of(NON_INTEGER_JSON, st.integers(-2, 5))
+BAD_COUNTS = st.sampled_from([0, -1, 1.5, True, "3"])
+
+
+def _field_mutation(draw, obj):
+    """``obj`` with one field's value replaced or dropped, or ``obj`` wrapped in a list."""
+    kind = draw(st.sampled_from(["replace", "drop", "wrap"]))
+    if kind == "wrap":
+        return [obj]
+    obj = dict(obj)
+    key = draw(st.sampled_from(sorted(obj)))
+    if kind == "replace":
+        obj[key] = draw(ANY_JSON)
+    else:
+        del obj[key]
+    return obj
+
+
+@st.composite
+def mutated_models(draw, payload):
+    payload = copy.deepcopy(payload)
+    kind = draw(st.sampled_from(["field", "empty-tokens", "count"]))
+    if kind == "field":
+        return _field_mutation(draw, payload)
+    if kind == "empty-tokens":
+        payload["vocabularies"]["dx"] = []
+    else:
+        payload[draw(st.sampled_from(["K", "M"]))] = draw(BAD_COUNTS)
+    return payload
+
+
+@st.composite
+def mutated_corpora(draw, vocab, records):
+    """``(vocab, records)`` with one mutation in one of the two files."""
+    vocab, records = copy.deepcopy(vocab), copy.deepcopy(records)
+    if draw(st.booleans()):
+        if draw(st.booleans()):
+            vocab = _field_mutation(draw, vocab)
+        else:
+            vocab["dx"] = []
+        return vocab, records
+    i = draw(st.integers(0, len(records) - 1))
+    kind = draw(st.sampled_from(["field", "bag", "count"]))
+    if kind == "field":
+        records[i] = _field_mutation(draw, records[i])
+    elif kind == "bag":
+        records[i]["bags"] = _field_mutation(draw, records[i]["bags"])
+    else:
+        bag = records[i]["bags"]["dx"]
+        bag[draw(st.sampled_from(sorted(bag)))] = draw(BAD_COUNTS)
+    return vocab, records
+
+
+def _write_json_lines(path, values):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(json.dumps(value) + "\n" for value in values))
+
+
+def _paths_outside(root, out):
+    found = []
+    for parent, dirs, files in os.walk(root):
+        found += [os.path.join(parent, name) for name in dirs + files]
+    return sorted(p for p in found if p != out and not p.startswith(out + os.sep))
+
+
+def _assert_documented_run(tmp, argv):
+    """``main`` on ``argv`` ends in a documented code and writes only inside ``--out``."""
+    out = os.path.join(tmp, "out")
+    before = _paths_outside(tmp, out)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([*argv, "--threads", "1", "--out", out])
+    assert code in (0, 1, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    assert _paths_outside(tmp, out) == before
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """The CLI fixture corpus and a model trained on it, as parsed JSON values."""
+    root = tmp_path_factory.mktemp("valid")
+    save_corpus(two_block_corpus(), root)
+    assert main(["train", "--corpus", str(root), "--k", "2", "--seed", "5",
+                 "--max-em-iters", "5", "--out", str(root / "run")]) in (0, 3)
+    with open(root / "records.jsonl", encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    return {
+        "vocab": json.loads((root / "vocab.json").read_text()),
+        "records": records,
+        "model": json.loads((root / "run" / "model.json").read_text()),
+        "model_path": str(root / "run" / "model.json"),
+    }
+
+
+class TestModelAndCorpusProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_mutated_model_ends_in_documented_exit_code(self, valid_inputs, data):
+        payload = data.draw(mutated_models(valid_inputs["model"]))
+        with tempfile.TemporaryDirectory() as tmp:
+            model = os.path.join(tmp, "model.json")
+            with open(model, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh)
+            records = os.path.join(tmp, "records.jsonl")
+            _write_json_lines(records, valid_inputs["records"][:2])
+            _assert_documented_run(tmp, ["phenotypes", "--model", model, "--label-type", "dx"])
+            _assert_documented_run(tmp, ["summarize", "--model", model, "--record-file", records])
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_mutated_corpus_ends_in_documented_exit_code(self, valid_inputs, data):
+        vocab, records = data.draw(
+            mutated_corpora(valid_inputs["vocab"], valid_inputs["records"])
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus = os.path.join(tmp, "corpus")
+            os.mkdir(corpus)
+            _write_json_lines(os.path.join(corpus, "vocab.json"), [vocab])
+            _write_json_lines(os.path.join(corpus, "records.jsonl"), records)
+            _assert_documented_run(tmp, ["train", "--corpus", corpus, "--k", "2", "--seed", "1",
+                                         "--max-em-iters", "1"])
+            _assert_documented_run(tmp, ["coverage", "--model", valid_inputs["model_path"],
+                                         "--corpus", corpus])
+
+
+@pytest.mark.parametrize(
+    "command, flags, expected",
+    [
+        ("train", ["--corpus", "{corpus}", "--k", "2", "--seed", "5", "--max-em-iters", "1"], 3),
+        ("train", ["--corpus", "{missing}", "--k", "2", "--seed", "5"], 2),
+        ("phenotypes", ["--model", "{model}", "--label-type", "dx"], 0),
+        ("phenotypes", ["--model", "{model}", "--label-type", "meds"], 1),
+        ("summarize", ["--model", "{model}", "--record-file", "{records}"], 0),
+        ("summarize", ["--model", "{missing}", "--record-file", "{records}"], 2),
+        ("eval", ["--scenario", "{scenario}", "--seed", "1", "--max-em-iters", "1",
+                  "--tv-threshold", "0"], 3),
+        ("eval", ["--preset", "nope", "--seed", "1"], 1),
+        ("coverage", ["--model", "{model}", "--corpus", "{corpus}"], 0),
+        ("coverage", ["--model", "{model}", "--corpus", "{other}"], 4),
+    ],
+)
+def test_manifest_is_written_exactly_on_exit_0_and_3(
+    trained, corpus_dir, tmp_path, command, flags, expected
+):
+    paths = {
+        "corpus": corpus_dir,
+        "model": trained / "model.json",
+        "missing": tmp_path / "missing",
+        "records": tmp_path / "records.jsonl",
+        "scenario": tmp_path / "scenario.json",
+        "other": tmp_path / "other",
+    }
+    paths["records"].write_text(json.dumps({"id": "p1", "bags": {"dx": {"w0": 2}}}) + "\n")
+    paths["scenario"].write_text(json.dumps(TINY_SCENARIO))
+    paths["other"].mkdir()
+    (paths["other"] / "vocab.json").write_text(json.dumps({"dx": ["zzz"]}))
+    (paths["other"] / "records.jsonl").write_text(json.dumps({"id": "r", "bags": {}}) + "\n")
+    out = tmp_path / "out"
+    argv = [command, *(flag.format(**paths) for flag in flags), "--out", str(out)]
+    assert main(argv) == expected
+    if expected in (0, 3):
+        assert json.loads((out / "manifest.json").read_text())["command"] == command
+    else:
+        assert not (out / "manifest.json").exists()
 
 
 class TestCoverage:

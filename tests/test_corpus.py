@@ -148,6 +148,13 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match="not UTF-8"):
             load_corpus(path)
 
+    def test_empty_vocabulary_rejected(self, tmp_path):
+        path = write_corpus_dir(
+            tmp_path, {"a": [], "b": ["x"]}, [{"id": "p1", "bags": {"b": {"x": 1}}}]
+        )
+        with pytest.raises(CorpusError, match="no tokens"):
+            load_corpus(path)
+
     def test_duplicate_vocab_tokens_rejected(self, tmp_path):
         path = write_corpus_dir(tmp_path, {"dx": ["a", "a"]}, [{"id": "p1", "bags": {}}])
         with pytest.raises(CorpusError, match="duplicate tokens"):

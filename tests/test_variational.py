@@ -258,7 +258,7 @@ class TestInferDocument:
         sigma0 = 4.0 * np.eye(2)
         params = make_params([0.0, 0.0], sigma0, [beta])
         record = RecordBags("r", ({0: 8},))
-        post = infer_document(record, params, tol=1e-6)
+        post = infer_document(record, params)
         assert post.proportions[0] > 0.9
         oracle = enumeration_posterior_mean_proportions([0] * 8, beta,
                                                         np.zeros(2), sigma0)
@@ -271,11 +271,10 @@ class TestInferDocument:
             params.mu0, params.sigma0, [params.log_beta[1], params.log_beta[0]]
         )
         record = random_record(rng, params, [9, 5])
-        post = infer_document(record, params, tol=1e-8)
+        post = infer_document(record, params)
         post_swapped = infer_document(
             RecordBags(record.record_id, (record.bags[1], record.bags[0])),
             swapped,
-            tol=1e-8,
         )
         np.testing.assert_array_equal(post.nu_hat, post_swapped.nu_hat)
         np.testing.assert_array_equal(post.proportions, post_swapped.proportions)
@@ -294,7 +293,7 @@ class TestInferDocument:
         params = make_params([0.0, 0.0], np.eye(2), [beta])
         previous = -np.inf
         for count in (1, 2, 4, 8):
-            post = infer_document(RecordBags("r", ({0: count},)), params, tol=1e-8)
+            post = infer_document(RecordBags("r", ({0: count},)), params)
             assert post.proportions[0] > previous
             previous = post.proportions[0]
 
@@ -366,7 +365,7 @@ class TestElbo:
         beta = np.array([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]])
         params = make_params([0.0, 0.0], np.eye(2), [beta])
         record = RecordBags("r", ({0: 1, 1: 1, 2: 1},))
-        post = infer_document(record, params, tol=1e-8)
+        post = infer_document(record, params)
         bound = post.elbo
         loglik, se = mc_log_likelihood([record.bags[0]], [beta], np.zeros(2), np.eye(2))
         assert bound <= loglik + 3 * se
