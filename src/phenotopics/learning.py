@@ -53,8 +53,20 @@ class TrainConfig:
     update_prior: bool = True
 
     def __post_init__(self):
+        # exact types: a model file's config echo reaches here unchecked, and
+        # bool subclasses int
+        for name in ("K", "seed", "max_em_iters"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if type(self.update_prior) is not bool:
+            raise ValueError(f"update_prior must be true or false, got {self.update_prior!r}")
+        if isinstance(self.em_tol, bool) or not isinstance(self.em_tol, (int, float)):
+            raise ValueError(f"em_tol must be a number, got {self.em_tol!r}")
         if self.K < 2:
             raise ValueError("K must be >= 2")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.max_em_iters < 0:
             raise ValueError("max_em_iters must be non-negative")
         if not self.em_tol >= 0:  # also rejects NaN, which would never converge
@@ -120,9 +132,9 @@ def m_step(
 
     ``posteriors`` were inferred under ``current``. beta rows accumulate
     count-weighted responsibilities plus ``BETA_SMOOTHING``; each
-    record's q(z) columns are recomputed at its mode under ``current``, the
-    same computation (and bits) the E-step made there, so no per-token array
-    outlives a record's inference. mu0/sigma0 moment-match the per-record
+    record's q(z) columns are recomputed at its mode under ``current`` by the
+    E-step's own :class:`ModeObjective` pass, so no per-token array outlives
+    a record's inference. mu0/sigma0 moment-match the per-record
     Gaussian posteriors (mean of modes; mean of covariances plus mode
     scatter). With ``cfg.update_prior`` false the prior is copied from
     ``current`` instead.
@@ -134,7 +146,7 @@ def m_step(
     beta_acc = [np.full((k, vocab.size), BETA_SMOOTHING) for vocab in corpus.vocabularies]
     for rec, post in zip(corpus.records, posteriors):
         objective = ModeObjective(rec, current)
-        resp = objective.at(post.nu_hat)[0]
+        resp = objective.responsibilities(post.nu_hat)
         for m, (idx, cnt) in enumerate(zip(objective.indices, objective.counts)):
             if idx.size:
                 # distinct indices within one record: fancy += is safe
@@ -290,7 +302,7 @@ def load_model(path) -> TrainedModel:
         for key in _RETIRED_CONFIG_KEYS:
             config.pop(key, None)
         config = TrainConfig(**config)
-        if type(config.K) is not int or config.K != k:
+        if config.K != k:
             raise ValueError(f"config K {config.K!r} differs from K {k}")
         stored_fp = payload["vocab_fingerprint"]
         history = payload["history"]

@@ -73,16 +73,19 @@ def ridged_cholesky(matrix: np.ndarray):
         If ``matrix`` holds a non-finite entry or no ridge on the ladder helps.
     """
     matrix = _require_finite(np.asarray(matrix, dtype=float), "matrix to factor")
-    ridge = 0.0
+    try:
+        return scipy.linalg.cho_factor(matrix, lower=True, check_finite=False), 0.0
+    except scipy.linalg.LinAlgError:
+        pass
     limit = 1e8 * max(1.0, float(np.abs(matrix).max()))
-    while True:
-        shifted = matrix + ridge * np.eye(matrix.shape[0]) if ridge else matrix
+    ridge = 1e-8
+    while ridge <= limit:
+        shifted = matrix + ridge * np.eye(matrix.shape[0])
         try:
             return scipy.linalg.cho_factor(shifted, lower=True, check_finite=False), ridge
         except scipy.linalg.LinAlgError:
-            ridge = 1e-8 if ridge == 0.0 else ridge * 10.0
-            if ridge > limit:
-                raise NonFiniteError("ridge repair diverged; the matrix is likely non-finite")
+            ridge *= 10.0
+    raise NonFiniteError("ridge repair diverged; the matrix is likely non-finite")
 
 
 def maximize_concave(
@@ -113,7 +116,7 @@ def maximize_concave(
 
     def newton_step(x, g):
         chol, _ = ridged_cholesky(-np.asarray(hess(x), dtype=float))
-        return scipy.linalg.cho_solve(chol, g)
+        return scipy.linalg.cho_solve(chol, g, check_finite=False)
 
     x = np.array(x0, dtype=float)
     fx = float(f(x))

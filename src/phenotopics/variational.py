@@ -94,7 +94,7 @@ class ModelParams:
             raise ValueError("sigma0 must be finite") from exc
         if ridge:
             raise ValueError("sigma0 must be symmetric positive definite")
-        sigma0_inv = scipy.linalg.cho_solve(chol, np.eye(mu0.shape[0]))
+        sigma0_inv = scipy.linalg.cho_solve(chol, np.eye(mu0.shape[0]), check_finite=False)
         sigma0_inv = 0.5 * (sigma0_inv + sigma0_inv.T)
         log_beta = [np.asarray(lb, dtype=float) for lb in log_beta]
         params = cls(
@@ -131,7 +131,7 @@ class DocPosterior:
     per phenotype, ``elbo`` the record's variational objective and
     ``iterations`` the number of Newton iterations. Nothing here grows with
     the record's length: the q(z) columns are recomputed from the mode when
-    needed (``ModeObjective(record, params).at(nu_hat)``).
+    needed (``ModeObjective(record, params).responsibilities(nu_hat)``).
     """
 
     nu_hat: np.ndarray
@@ -157,28 +157,18 @@ def _bag_arrays(record: RecordBags, params: ModelParams):
     return indices, counts
 
 
-def _responsibilities(indices, counts, nu, params: ModelParams):
-    """Closed-form q(z) per distinct token at log proportions ``nu``.
+def _responsibilities(log_beta: np.ndarray, idx, cnt, nu):
+    """Exact q(z) of one bag at log proportions ``nu``: one K x n exponential.
 
-    q(z=k | token v of type m) is the k-softmax of nu + log_beta[m][:, v]
-    (the logsumexp part of eta(nu) is constant across k and cancels). Returns
-    the per-type (K, n_m) matrices, the (M, K) expected counts and the
-    per-type data terms sum_v c_v logsumexp_k(nu_k + log_beta[m][k, v]).
+    q(z=k | token v) is the k-softmax of nu + log_beta[:, v] (the logsumexp
+    part of eta(nu) is constant across k and cancels). Returns the (K, n)
+    responsibilities, the K expected counts and sum_v c_v
+    logsumexp_k(nu_k + log_beta[k, v]). :class:`ModeObjective` falls back on
+    it where its factored pass would lose precision, and tests use it as the
+    reference for that pass.
     """
-    k = params.num_phenotypes
-    resp = []
-    expected = np.zeros((params.num_types, k))
-    data = np.zeros(params.num_types)
-    nu_col = nu[:, None]
-    for m, (idx, cnt) in enumerate(zip(indices, counts)):
-        if idx.size == 0:
-            resp.append(np.zeros((k, 0)))
-            continue
-        q, lse = _log_normalize(params.log_beta[m][:, idx] + nu_col)
-        resp.append(q)
-        expected[m] = q @ cnt
-        data[m] = cnt @ lse
-    return resp, expected, data
+    q, lse = _log_normalize(log_beta[:, idx] + nu[:, None])
+    return q, q @ cnt, float(cnt @ lse)
 
 
 def _laplace_hessian(pi, n_total: float, params: ModelParams) -> np.ndarray:
@@ -190,60 +180,117 @@ def _laplace_hessian(pi, n_total: float, params: ModelParams) -> np.ndarray:
     return n_total * (np.outer(pi, pi) - np.diag(pi)) - params.sigma0_inv
 
 
+# Smallest column mass pi @ B the factored responsibility pass accepts; a bag
+# with a smaller one goes through the exact path at that iterate. Above it,
+# the products pi_k B_kv that underflow (each below ~2e-308) are negligible
+# relative to the mass, and count / mass**2 cannot overflow for any count
+# below 2**53.
+MIN_COLUMN_MASS = 1e-60
+
+
 class ModeObjective:
     """Collapsed log joint of one record, log p(x, nu) up to a constant.
 
-    g(nu) = sum_m sum_v c_mv logsumexp_k(nu_k + log_beta[m][k, v])
-            - N logsumexp(nu) - (nu - mu0)' sigma0_inv (nu - mu0) / 2,
+    g(nu) = sum_m sum_v c_mv log sum_k pi_k beta_m[k, v]
+            - (nu - mu0)' sigma0_inv (nu - mu0) / 2,
 
-    with N the record's token total. Its gradient is
-    sum_m R_m c_m - N pi - sigma0_inv (nu - mu0), where R_m holds the q(z)
-    responsibilities at nu, so it vanishes exactly at the fixed point of
+    with pi = softmax(nu): the mixture log likelihood of every token plus the
+    Gaussian log prior. Its gradient is sum_m R_m c_m - N pi - sigma0_inv
+    (nu - mu0), where R_m holds the q(z) responsibilities at nu and N is the
+    record's token total, so it vanishes exactly at the fixed point of
     alternating q(z) with the Gaussian q(nu) mode. Its Hessian is
     sum_m [diag(R_m c_m) - (R_m * c_m) R_m'] plus :func:`_laplace_hessian`.
-    The data term is convex, so g need not be concave.
+    The data term is convex in nu, so g need not be concave.
 
-    Value, gradient and Hessian at one iterate share a single responsibility
-    pass, cached on the iterate's bytes. Per-type terms are summed before the
-    prior terms are added, so permuting the types leaves every result
-    bitwise unchanged.
+    The token work is done once per record: ``__init__`` gathers each bag's
+    beta columns as B_m = exp(log_beta[m][:, idx] - top_m), shifted by their
+    column max top_m so every entry is at most 1. An evaluation then needs
+    pi, the column masses s_m = pi @ B_m, the data term c_m @ (log s_m +
+    top_m) and the expected counts pi * (B_m @ (c_m / s_m)); q(z) itself,
+    B_m * pi / s_m, is built only by :meth:`responsibilities`. A bag with a
+    mass below ``MIN_COLUMN_MASS`` at the iterate goes through the exact
+    :func:`_responsibilities` instead.
+
+    Value, gradient and Hessian at one iterate share one pass, cached on the
+    iterate's bytes. Per-type terms are summed before the prior terms are
+    added, so permuting the types leaves every result bitwise unchanged.
     """
 
     def __init__(self, record: RecordBags, params: ModelParams):
         self.params = params
         self.indices, self.counts = _bag_arrays(record, params)
         self.n_total = float(sum(cnt.sum() for cnt in self.counts))
+        self._beta = []
+        for lb, idx in zip(params.log_beta, self.indices):
+            columns = lb[:, idx]
+            top = columns.max(axis=0)
+            self._beta.append((np.exp(columns - top), top))
         self._key = None
         self._state = None
+        self._columns = None  # per bag at the cached iterate: (mass, q or None)
 
     def at(self, nu):
-        """(resp, expected, data, pi, lse) at ``nu``, from the one-slot cache."""
+        """(expected, data, pi) at ``nu``, from the one-slot cache.
+
+        ``expected`` is the (M, K) matrix of expected counts, ``data`` the
+        per-type token log likelihoods and ``pi`` softmax(nu).
+        """
         nu = np.asarray(nu, dtype=float)
         key = nu.tobytes()
         if self._key != key:
-            resp, expected, data = _responsibilities(self.indices, self.counts, nu, self.params)
             pi, lse = _log_normalize(nu)
-            self._state = (resp, expected, data, pi, float(lse))
+            expected = np.zeros((self.params.num_types, pi.size))
+            data = np.zeros(self.params.num_types)
+            columns = []
+            for m, ((shifted, top), idx, cnt) in enumerate(
+                zip(self._beta, self.indices, self.counts)
+            ):
+                mass = pi @ shifted
+                if np.all(mass >= MIN_COLUMN_MASS):
+                    expected[m] = pi * (shifted @ (cnt / mass))
+                    data[m] = cnt @ (np.log(mass) + top)
+                    q = None
+                else:
+                    q, expected[m], data[m] = _responsibilities(
+                        self.params.log_beta[m], idx, cnt, nu
+                    )
+                    data[m] -= cnt.sum() * lse
+                columns.append((mass, q))
+            self._state = (expected, data, pi)
+            self._columns = columns
             self._key = key
         return self._state
 
+    def responsibilities(self, nu) -> list:
+        """Per-type (K, n_m) q(z) columns at ``nu``, aligned with ``indices``."""
+        pi = self.at(nu)[2]
+        return [
+            shifted * pi[:, None] / mass if q is None else q
+            for (shifted, _), (mass, q) in zip(self._beta, self._columns)
+        ]
+
     def value(self, nu) -> float:
-        _, _, data, _, lse = self.at(nu)
+        _, data, _ = self.at(nu)
         centered = np.asarray(nu, dtype=float) - self.params.mu0
         prior = 0.5 * float(centered @ self.params.sigma0_inv @ centered)
-        return float(data.sum()) - self.n_total * lse - prior
+        return float(data.sum()) - prior
 
     def gradient(self, nu) -> np.ndarray:
-        _, expected, _, pi, _ = self.at(nu)
+        expected, _, pi = self.at(nu)
         centered = np.asarray(nu, dtype=float) - self.params.mu0
         return expected.sum(axis=0) - self.n_total * pi - self.params.sigma0_inv @ centered
 
     def hessian(self, nu) -> np.ndarray:
-        resp, expected, _, pi, _ = self.at(nu)
-        data = np.diag(expected.sum(axis=0))
-        data -= sum(
-            (q * cnt) @ q.T for q, cnt in zip(resp, self.counts) if cnt.size
-        )
+        expected, _, pi = self.at(nu)
+        k = pi.size
+        # (R * c) R' = outer(pi, pi) * (B * c / s**2) B' on the factored bags
+        factored, exact = np.zeros((k, k)), np.zeros((k, k))
+        for (shifted, _), cnt, (mass, q) in zip(self._beta, self.counts, self._columns):
+            if q is None:
+                factored += (shifted * (cnt / (mass * mass))) @ shifted.T
+            else:
+                exact += (q * cnt) @ q.T
+        data = np.diag(expected.sum(axis=0)) - np.outer(pi, pi) * factored - exact
         return data + _laplace_hessian(pi, self.n_total, self.params)
 
 
@@ -260,7 +307,7 @@ def _invert_neg_hessian(hessian: np.ndarray):
             RuntimeWarning,
             stacklevel=2,
         )
-    cov = scipy.linalg.cho_solve(chol, np.eye(hessian.shape[0]))
+    cov = scipy.linalg.cho_solve(chol, np.eye(hessian.shape[0]), check_finite=False)
     return 0.5 * (cov + cov.T), -_logdet(chol)
 
 
@@ -294,7 +341,7 @@ def infer_document(
     nu0 = np.array(params.mu0 if nu_init is None else nu_init, dtype=float)
     result = maximize_concave(objective.value, objective.gradient, objective.hessian, nu0)
     nu_hat = result.x
-    _, expected, _, pi, _ = objective.at(nu_hat)
+    expected, _, pi = objective.at(nu_hat)
     hessian = _laplace_hessian(pi, objective.n_total, params)
     nu_cov, logdet_cov = _invert_neg_hessian(hessian)
     elbo = (

@@ -182,7 +182,7 @@ def test_criterion_06_normalization_and_conservation():
         for rec, w in zip(corpus.records, warm):
             post = infer_document(rec, params, nu_init=w)
             posts.append(post)
-            resp = ModeObjective(rec, params).at(post.nu_hat)[0]
+            resp = ModeObjective(rec, params).responsibilities(post.nu_hat)
             for m, bag in enumerate(rec.bags):
                 if bag:
                     sums = resp[m].sum(axis=0)

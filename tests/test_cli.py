@@ -197,6 +197,14 @@ class TestTrain:
         assert code == 1
         assert not out.exists()
 
+    def test_negative_seed_is_argument_error(self, corpus_dir, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["train", "--corpus", str(corpus_dir), "--k", "2", "--seed", "-1",
+                     "--out", str(out)])
+        assert code == 1
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--doc-tol", "--beta-smoothing", "--noise-scale"])
     def test_retired_training_flags_are_argument_errors(self, corpus_dir, tmp_path, flag):
         code = main(
@@ -317,11 +325,18 @@ class TestPhenotypes:
             (lambda p: p.update(converged="no"), 2),
             (lambda p: p.update(mu0=1.0), 2),
             (lambda p: p["vocabularies"].update(dx=[]), 2),
+            (lambda p: p["config"].update(seed="abc"), 2),
+            (lambda p: p["config"].update(seed=-1), 2),
+            (lambda p: p["config"].update(update_prior="no"), 2),
+            (lambda p: p["config"].update(max_em_iters=1.5), 2),
+            (lambda p: p["config"].update(em_tol=True), 2),
         ],
         ids=["sigma0-not-pd", "row-sum", "mu0-short", "huge-K", "infinite-K",
              "vocabularies-list", "history-int", "fingerprint-int", "fractional-K",
              "config-K-differs", "M-differs", "history-string", "converged-string",
-             "mu0-scalar", "empty-vocabulary"],
+             "mu0-scalar", "empty-vocabulary", "config-seed-string", "config-seed-negative",
+             "config-update-prior-string", "config-max-em-iters-fractional",
+             "config-em-tol-bool"],
     )
     def test_model_that_is_not_a_model_exits_without_traceback(
         self, trained, tmp_path, capsys, corrupt, expected
@@ -613,9 +628,12 @@ def _field_mutation(draw, obj):
 @st.composite
 def mutated_models(draw, payload):
     payload = copy.deepcopy(payload)
-    kind = draw(st.sampled_from(["field", "empty-tokens", "count"]))
+    kind = draw(st.sampled_from(["field", "config", "empty-tokens", "count"]))
     if kind == "field":
         return _field_mutation(draw, payload)
+    if kind == "config":
+        payload["config"] = _field_mutation(draw, payload["config"])
+        return payload
     if kind == "empty-tokens":
         payload["vocabularies"]["dx"] = []
     else:

@@ -73,6 +73,16 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="em_tol"):
             TrainConfig(K=2, em_tol=em_tol)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("K", 2.0), ("K", True), ("seed", "abc"), ("seed", -1), ("seed", False),
+         ("max_em_iters", 1.5), ("update_prior", "no"), ("update_prior", 1),
+         ("em_tol", True), ("em_tol", "1e-5")],
+    )
+    def test_wrong_field_type_or_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{"K": 2, field: value})
+
     def test_em_tol_zero_allowed(self):
         assert TrainConfig(K=2, em_tol=0.0).em_tol == 0.0
 

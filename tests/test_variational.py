@@ -7,11 +7,11 @@ import pytest
 
 from phenotopics import numerics
 from phenotopics.corpus import RecordBags
+from phenotopics.learning import BETA_SMOOTHING
 from phenotopics.numerics import softmax
 from phenotopics.variational import (
     ModelParams,
     ModeObjective,
-    _bag_arrays,
     _invert_neg_hessian,
     _laplace_hessian,
     _responsibilities,
@@ -55,9 +55,30 @@ def objective(params, bags):
     return ModeObjective(RecordBags("r", tuple(bags)), params)
 
 
+def exact_pass(obj, nu):
+    """Value, gradient, Hessian, expected counts and q(z) of ``obj`` at ``nu``,
+    each built from the exact per-bag path (one K x n exponential per bag)."""
+    params = obj.params
+    pi, lse = numerics._log_normalize(nu)
+    resp, expected, data = [], [], 0.0
+    for lb, idx, cnt in zip(params.log_beta, obj.indices, obj.counts):
+        q, e, d = _responsibilities(lb, idx, cnt, nu)
+        resp.append(q)
+        expected.append(e)
+        data += d - cnt.sum() * lse
+    expected = np.array(expected)
+    centered = nu - params.mu0
+    value = data - 0.5 * centered @ params.sigma0_inv @ centered
+    gradient = expected.sum(axis=0) - obj.n_total * pi - params.sigma0_inv @ centered
+    hessian = np.diag(expected.sum(axis=0)) + _laplace_hessian(pi, obj.n_total, params)
+    for q, cnt in zip(resp, obj.counts):
+        hessian -= (q * cnt) @ q.T
+    return value, gradient, hessian, expected, resp
+
+
 def q_z(record, nu, params):
-    """q(z) columns and expected counts of ``record`` at log proportions ``nu``."""
-    resp, expected, _ = _responsibilities(*_bag_arrays(record, params), nu, params)
+    """q(z) columns and expected counts of ``record`` at ``nu``, by the exact path."""
+    *_, expected, resp = exact_pass(ModeObjective(record, params), nu)
     return resp, expected
 
 
@@ -160,6 +181,56 @@ class TestHessian:
             laplace = _laplace_hessian(softmax(nu), 50.0, params)
             assert np.abs(laplace - laplace.T).max() <= 1e-12
             np.linalg.cholesky(-laplace)  # raises if not PD
+
+
+def near_smoothing_params(rng, k, vocab_sizes):
+    """Random params whose rows hold entries near the M-step's smoothing floor."""
+    betas = []
+    for v in vocab_sizes:
+        rows = rng.dirichlet(np.full(v, 0.5), size=k)
+        rows[rng.random(rows.shape) < 0.3] = BETA_SMOOTHING
+        betas.append(rows / rows.sum(axis=1, keepdims=True))
+    root = rng.normal(size=(k, k)) / np.sqrt(k)
+    return make_params(rng.normal(size=k) * 0.5, root @ root.T + 0.5 * np.eye(k), betas)
+
+
+class TestFactoredPass:
+    """ModeObjective's cached-column pass against the exact per-bag path."""
+
+    def assert_matches_exact(self, objective, nu, rel=1e-12):
+        value, gradient, hessian, expected, resp = exact_pass(objective, nu)
+        scale = max(1.0, objective.n_total)
+        assert abs(objective.value(nu) - value) <= rel * max(1.0, abs(value))
+        assert np.abs(objective.gradient(nu) - gradient).max() <= rel * scale
+        assert np.abs(objective.hessian(nu) - hessian).max() <= rel * scale
+        assert np.abs(objective.at(nu)[0] - expected).max() <= rel * scale
+        for q, q_exact in zip(objective.responsibilities(nu), resp):
+            assert q.shape == q_exact.shape
+            assert np.abs(q - q_exact).max(initial=0.0) <= rel
+
+    @pytest.mark.parametrize("k", [2, 6, 50])
+    def test_matches_exact_path(self, rng, k):
+        for _ in range(10):
+            params = near_smoothing_params(rng, k, [40, 25, 12])
+            lengths = [int(n) for n in rng.integers(0, 120, size=3)]
+            obj = ModeObjective(random_record(rng, params, lengths), params)
+            for scale in (0.5, 3.0):
+                self.assert_matches_exact(obj, rng.normal(scale=scale, size=k))
+
+    def test_underflowing_column_takes_exact_path(self):
+        # token 0 of type 0 has non-negligible mass only under phenotype 1,
+        # whose proportion underflows at nu_1 = -750: its column mass pi @ B
+        # is 0, and the factored log would be -inf. Type 1 stays factored.
+        tiny_row = [-1000.0, 0.0]
+        log_beta = [np.array([tiny_row, np.log([0.5, 0.5]), tiny_row]),
+                    np.log(np.full((3, 4), 0.25))]
+        params = ModelParams.create(np.zeros(3), np.eye(3), log_beta)
+        obj = objective(params, [{0: 3, 1: 2}, {2: 5}])
+        nu = np.array([0.0, -750.0, 0.0])
+        assert np.all(np.isfinite(obj.hessian(nu)))
+        assert np.isfinite(obj.value(nu))
+        assert obj.responsibilities(nu)[0][1, 0] == pytest.approx(1.0, rel=1e-12)
+        self.assert_matches_exact(obj, nu)
 
 
 class TestUpdateQNu:
