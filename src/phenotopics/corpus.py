@@ -110,7 +110,7 @@ def _validate_record(rec: RecordBags, vocabularies) -> None:
 
 def _parse_vocabularies(raw) -> tuple:
     if not isinstance(raw, dict) or not raw:
-        raise CorpusError("vocabulary file must be a non-empty JSON object")
+        raise CorpusError("vocabularies must be a non-empty JSON object")
     vocabs = []
     for name, tokens in raw.items():
         if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):

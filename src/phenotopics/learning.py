@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .corpus import Corpus, Vocabulary
+from .corpus import Corpus, _parse_vocabularies
 from .numerics import ridged_cholesky
 from .variational import ModelParams, ModeObjective, infer_document
 
@@ -285,10 +285,7 @@ def load_model(path) -> TrainedModel:
         k = payload["K"]
         if type(k) is not int:  # bool subclasses int but is not a size
             raise ValueError(f"K must be an integer, got {k!r}")
-        vocabularies = tuple(
-            Vocabulary(type_name=name, tokens=tuple(tokens))
-            for name, tokens in payload["vocabularies"].items()
-        )
+        vocabularies = _parse_vocabularies(payload["vocabularies"])
         m = payload["M"]
         if type(m) is not int or m != len(vocabularies):
             raise ValueError(f"M is {m!r} but there are {len(vocabularies)} vocabularies")

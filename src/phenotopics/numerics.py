@@ -1,4 +1,4 @@
-"""Shared numerical kernels: stable softmax, damped Newton ascent, PD factor and repair."""
+"""Shared numerical kernels: stable softmax, damped Newton ascent, PD factor, repair and inverse."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 
 class NonFiniteError(FloatingPointError):
@@ -64,28 +64,54 @@ def ridged_cholesky(matrix: np.ndarray):
     """Cholesky factor of ``matrix + ridge * I`` with the smallest ridge that works.
 
     The one positive-definite repair: tries ridge 0, then 1e-8, 1e-7, ...
-    (times 10 per rung) up to 1e8 * max(1, max|matrix|). Returns the
-    ``scipy.linalg.cho_factor`` pair (lower triangle) and the ridge used.
+    (times 10 per rung) up to 1e8 * max(1, max|matrix|), each rung one LAPACK
+    ``potrf`` whose status code says whether it worked. Reads only the lower
+    triangle of ``matrix`` and returns the lower factor (its upper triangle
+    still holds the input's) and the ridge used.
 
     Raises
     ------
     NonFiniteError
         If ``matrix`` holds a non-finite entry or no ridge on the ladder helps.
+    ValueError
+        If ``matrix`` is not a non-empty square matrix.
     """
     matrix = _require_finite(np.asarray(matrix, dtype=float), "matrix to factor")
-    try:
-        return scipy.linalg.cho_factor(matrix, lower=True, check_finite=False), 0.0
-    except scipy.linalg.LinAlgError:
-        pass
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or not matrix.size:
+        raise ValueError(f"expected a non-empty square matrix, got shape {matrix.shape}")
+    # with the shape checked, a nonzero info can only mean "not positive definite"
+    factor, info = dpotrf(matrix, lower=1, clean=0)
+    if not info:
+        return factor, 0.0
     limit = 1e8 * max(1.0, float(np.abs(matrix).max()))
     ridge = 1e-8
     while ridge <= limit:
-        shifted = matrix + ridge * np.eye(matrix.shape[0])
-        try:
-            return scipy.linalg.cho_factor(shifted, lower=True, check_finite=False), ridge
-        except scipy.linalg.LinAlgError:
-            ridge *= 10.0
+        factor, info = dpotrf(matrix + ridge * np.eye(matrix.shape[0]), lower=1, clean=0)
+        if not info:
+            return factor, ridge
+        ridge *= 10.0
     raise NonFiniteError("ridge repair diverged; the matrix is likely non-finite")
+
+
+def _cholesky_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b from A's :func:`ridged_cholesky` factor (LAPACK potrs)."""
+    x, info = dpotrs(factor, b, lower=1)
+    if info:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK potrs")
+    return x
+
+
+def _pd_inverse(matrix: np.ndarray):
+    """Inverse and log determinant of ``matrix + ridge * I``, and the ridge.
+
+    The one inverse with its log determinant, from one :func:`ridged_cholesky`
+    factor; the inverse is made exactly symmetric. Private, as
+    :func:`_log_normalize` is, so the tracer adds no span per record.
+    """
+    factor, ridge = ridged_cholesky(matrix)
+    inverse = _cholesky_solve(factor, np.eye(factor.shape[0]))
+    logdet = 2.0 * float(np.log(np.diag(factor)).sum())
+    return 0.5 * (inverse + inverse.T), logdet, ridge
 
 
 def maximize_concave(
@@ -115,8 +141,8 @@ def maximize_concave(
     """
 
     def newton_step(x, g):
-        chol, _ = ridged_cholesky(-np.asarray(hess(x), dtype=float))
-        return scipy.linalg.cho_solve(chol, g, check_finite=False)
+        factor, _ = ridged_cholesky(-np.asarray(hess(x), dtype=float))
+        return _cholesky_solve(factor, g)
 
     x = np.array(x0, dtype=float)
     fx = float(f(x))

@@ -33,10 +33,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .corpus import RecordBags
-from .numerics import NonFiniteError, _log_normalize, maximize_concave, ridged_cholesky
+from .numerics import NonFiniteError, _log_normalize, _pd_inverse, maximize_concave
 
 
 # How far a topic row's probabilities may sum from 1 before params are rejected.
@@ -44,11 +43,6 @@ ROW_SUM_TOL = 1e-9
 # Largest Newton step (sup-norm) left at a returned mode that still counts as
 # converged; it decides only DocPosterior.converged, never the mode itself.
 CONVERGED_STEP_TOL = 1e-4
-
-
-def _logdet(chol) -> float:
-    """log det A from A's ``cho_factor`` pair."""
-    return 2.0 * float(np.log(np.diag(chol[0])).sum())
 
 
 @dataclass
@@ -79,9 +73,10 @@ class ModelParams:
     def create(cls, mu0, sigma0, log_beta) -> "ModelParams":
         """Build params from mu0, sigma0 and per-type log topic matrices.
 
-        Computes the cached inverse and log determinant from one Cholesky
-        factor, which doubles as the positive-definiteness check on sigma0:
-        a sigma0 that :func:`ridged_cholesky` would have to ridge is rejected.
+        Computes the cached inverse and log determinant with one
+        :func:`~phenotopics.numerics._pd_inverse`, whose factorization doubles
+        as the positive-definiteness check on sigma0: a sigma0 that would need
+        a ridge is rejected.
         """
         mu0 = np.asarray(mu0, dtype=float)
         if mu0.ndim != 1:
@@ -89,19 +84,17 @@ class ModelParams:
         sigma0 = np.asarray(sigma0, dtype=float)
         sigma0 = 0.5 * (sigma0 + sigma0.T)
         try:
-            chol, ridge = ridged_cholesky(sigma0)
+            sigma0_inv, sigma0_logdet, ridge = _pd_inverse(sigma0)
         except NonFiniteError as exc:
             raise ValueError("sigma0 must be finite") from exc
         if ridge:
             raise ValueError("sigma0 must be symmetric positive definite")
-        sigma0_inv = scipy.linalg.cho_solve(chol, np.eye(mu0.shape[0]), check_finite=False)
-        sigma0_inv = 0.5 * (sigma0_inv + sigma0_inv.T)
         log_beta = [np.asarray(lb, dtype=float) for lb in log_beta]
         params = cls(
             mu0=mu0,
             sigma0=sigma0,
             sigma0_inv=sigma0_inv,
-            sigma0_logdet=_logdet(chol),
+            sigma0_logdet=sigma0_logdet,
             log_beta=log_beta,
         )
         params.validate()
@@ -295,20 +288,19 @@ class ModeObjective:
 
 
 def _invert_neg_hessian(hessian: np.ndarray):
-    """Inverse of -hessian and its log determinant, from one Cholesky factor.
+    """Inverse of -hessian and its log determinant.
 
     A ridge is added (with one warning naming it) only if -hessian is not
     numerically positive definite.
     """
-    chol, ridge = ridged_cholesky(-hessian)
+    cov, logdet, ridge = _pd_inverse(-hessian)
     if ridge:
         warnings.warn(
             f"negated Hessian not positive definite; repaired with ridge {ridge:g}",
             RuntimeWarning,
             stacklevel=2,
         )
-    cov = scipy.linalg.cho_solve(chol, np.eye(hessian.shape[0]), check_finite=False)
-    return 0.5 * (cov + cov.T), -_logdet(chol)
+    return cov, -logdet
 
 
 def infer_document(

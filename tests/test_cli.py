@@ -7,6 +7,7 @@ import io
 import json
 import os
 import tempfile
+from types import SimpleNamespace
 
 import jsonschema
 import numpy as np
@@ -16,10 +17,21 @@ from hypothesis import strategies as st
 
 from phenotopics.cli import main
 from phenotopics.corpus import save_corpus
+from phenotopics.learning import vocab_fingerprint
 from phenotopics.summarize import SANKEY_SCHEMA
 from phenotopics.synth import Scenario, save_scenario
 
 from .conftest import two_block_corpus
+
+
+def _set_dx_tokens(payload, tokens):
+    """Replace a model payload's dx token list and store the fingerprint of
+    the tokens as stored, so that a load gets past the fingerprint check."""
+    payload["vocabularies"]["dx"] = tokens
+    payload["vocab_fingerprint"] = vocab_fingerprint(
+        SimpleNamespace(type_name=name, tokens=t) for name, t in payload["vocabularies"].items()
+    )
+
 
 @pytest.fixture
 def corpus_dir(tmp_path):
@@ -330,13 +342,16 @@ class TestPhenotypes:
             (lambda p: p["config"].update(update_prior="no"), 2),
             (lambda p: p["config"].update(max_em_iters=1.5), 2),
             (lambda p: p["config"].update(em_tol=True), 2),
+            (lambda p: _set_dx_tokens(p, [1, 2, 3, 4, 5, 6]), 2),
+            (lambda p: _set_dx_tokens(p, [True, False, None, 1.5, "a", "b"]), 2),
+            (lambda p: _set_dx_tokens(p, "abcdef"), 2),
         ],
         ids=["sigma0-not-pd", "row-sum", "mu0-short", "huge-K", "infinite-K",
              "vocabularies-list", "history-int", "fingerprint-int", "fractional-K",
              "config-K-differs", "M-differs", "history-string", "converged-string",
              "mu0-scalar", "empty-vocabulary", "config-seed-string", "config-seed-negative",
              "config-update-prior-string", "config-max-em-iters-fractional",
-             "config-em-tol-bool"],
+             "config-em-tol-bool", "tokens-ints", "tokens-mixed", "tokens-string"],
     )
     def test_model_that_is_not_a_model_exits_without_traceback(
         self, trained, tmp_path, capsys, corrupt, expected
@@ -628,7 +643,7 @@ def _field_mutation(draw, obj):
 @st.composite
 def mutated_models(draw, payload):
     payload = copy.deepcopy(payload)
-    kind = draw(st.sampled_from(["field", "config", "empty-tokens", "count"]))
+    kind = draw(st.sampled_from(["field", "config", "empty-tokens", "tokens", "count"]))
     if kind == "field":
         return _field_mutation(draw, payload)
     if kind == "config":
@@ -636,6 +651,8 @@ def mutated_models(draw, payload):
         return payload
     if kind == "empty-tokens":
         payload["vocabularies"]["dx"] = []
+    elif kind == "tokens":
+        payload["vocabularies"]["dx"] = draw(st.one_of(ANY_JSON, st.lists(ANY_JSON, max_size=6)))
     else:
         payload[draw(st.sampled_from(["K", "M"]))] = draw(BAD_COUNTS)
     return payload
@@ -689,18 +706,24 @@ def _assert_documented_run(tmp, argv):
 
 @pytest.fixture(scope="module")
 def valid_inputs(tmp_path_factory):
-    """The CLI fixture corpus and a model trained on it, as parsed JSON values."""
+    """The CLI fixture corpus and a model trained on it, as parsed JSON values,
+    with their paths and those of a two-record segment file and the tiny scenario."""
     root = tmp_path_factory.mktemp("valid")
     save_corpus(two_block_corpus(), root)
     assert main(["train", "--corpus", str(root), "--k", "2", "--seed", "5",
                  "--max-em-iters", "5", "--out", str(root / "run")]) in (0, 3)
     with open(root / "records.jsonl", encoding="utf-8") as fh:
         records = [json.loads(line) for line in fh]
+    _write_json_lines(root / "segments.jsonl", records[:2])
+    _write_json_lines(root / "scenario.json", [TINY_SCENARIO])
     return {
         "vocab": json.loads((root / "vocab.json").read_text()),
         "records": records,
         "model": json.loads((root / "run" / "model.json").read_text()),
+        "corpus_path": str(root),
         "model_path": str(root / "run" / "model.json"),
+        "segments_path": str(root / "segments.jsonl"),
+        "scenario_path": str(root / "scenario.json"),
     }
 
 
@@ -733,6 +756,53 @@ class TestModelAndCorpusProperty:
                                          "--max-em-iters", "1"])
             _assert_documented_run(tmp, ["coverage", "--model", valid_inputs["model_path"],
                                          "--corpus", corpus])
+
+
+def _valid_configs(inputs):
+    """One valid --config object per subcommand, naming ``valid_inputs``' files."""
+    return {
+        "train": {"corpus": inputs["corpus_path"], "k": 2, "seed": 1, "max_em_iters": 1,
+                  "em_tol": 1e-5, "freeze_prior": False},
+        "phenotypes": {"model": inputs["model_path"], "label_type": "dx", "top_n": 3,
+                       "corr_threshold": 0.5},
+        "summarize": {"model": inputs["model_path"], "record_file": inputs["segments_path"],
+                      "top_n": 2},
+        "coverage": {"model": inputs["model_path"], "corpus": inputs["corpus_path"],
+                     "mass": 0.9},
+        "eval": {"scenario": inputs["scenario_path"], "seed": 1, "max_em_iters": 1,
+                 "tv_threshold": 0.5, "corr_threshold": 0.5},
+    }
+
+
+@st.composite
+def mutated_configs(draw, config):
+    """``config`` with one field replaced or dropped, an unknown key added, or wrapped."""
+    if draw(st.booleans()):
+        return _field_mutation(draw, config)
+    config = dict(config)
+    config[draw(st.text(max_size=8).filter(lambda key: key not in config))] = draw(ANY_JSON)
+    return config
+
+
+def _assert_documented_config_run(tmp, command, config):
+    path = os.path.join(tmp, "config.json")
+    _write_json_lines(path, [config])
+    _assert_documented_run(tmp, [command, "--config", path])
+
+
+class TestConfigProperty:
+    @pytest.mark.parametrize("command", ["train", "phenotypes", "summarize", "coverage", "eval"])
+    def test_valid_config_runs(self, valid_inputs, tmp_path, command):
+        _assert_documented_config_run(str(tmp_path), command, _valid_configs(valid_inputs)[command])
+        assert (tmp_path / "out" / "manifest.json").exists()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_mutated_config_ends_in_documented_exit_code(self, valid_inputs, data):
+        command, config = data.draw(st.sampled_from(sorted(_valid_configs(valid_inputs).items())))
+        config = data.draw(mutated_configs(config))
+        with tempfile.TemporaryDirectory() as tmp:
+            _assert_documented_config_run(tmp, command, config)
 
 
 @pytest.mark.parametrize(

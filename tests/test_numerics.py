@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from phenotopics import numerics
 from phenotopics.numerics import (
     NonFiniteError,
+    _cholesky_solve,
     _log_normalize,
+    _pd_inverse,
     maximize_concave,
     ridged_cholesky,
     softmax,
@@ -117,22 +119,61 @@ class TestRidgedCholesky:
     def test_pd_matrix_needs_no_ridge(self, rng):
         root = rng.normal(size=(5, 5))
         a = root @ root.T + np.eye(5)
-        (c, lower), ridge = ridged_cholesky(a)
+        factor, ridge = ridged_cholesky(a)
         expected, _ = scipy.linalg.cho_factor(a, lower=True)
-        assert ridge == 0.0 and lower
-        np.testing.assert_array_equal(c, expected)
+        assert ridge == 0.0
+        np.testing.assert_array_equal(np.tril(factor), np.tril(expected))
 
     def test_indefinite_matrix_gets_smallest_ridge_on_the_ladder(self):
         a = np.diag([1.0, -0.5])
-        (c, _), ridge = ridged_cholesky(a)
+        factor, ridge = ridged_cholesky(a)
         # 0, 1e-8, ..., 0.1 all leave -0.5 + ridge <= 0; 1.0 is the first that works
         assert ridge == pytest.approx(1.0, rel=1e-12)
-        factor = np.tril(c)
+        factor = np.tril(factor)
         np.testing.assert_allclose(factor @ factor.T, a + ridge * np.eye(2), atol=1e-12)
+
+    def test_factor_and_solve_match_scipy_bitwise_reading_only_the_lower_triangle(self, rng):
+        # like a Newton Hessian, the matrix is not bitwise symmetric
+        root = rng.normal(size=(6, 6))
+        a = root @ root.T + np.eye(6)
+        a[np.triu_indices(6, 1)] += rng.normal(scale=1e-3, size=15)
+        b = rng.normal(size=6)
+        factor, ridge = ridged_cholesky(a)
+        expected = scipy.linalg.cho_factor(a, lower=True)
+        assert ridge == 0.0
+        np.testing.assert_array_equal(factor, expected[0])
+        np.testing.assert_array_equal(_cholesky_solve(factor, b), scipy.linalg.cho_solve(expected, b))
+        mirrored = np.tril(a) + np.tril(a, -1).T  # the lower triangle decides the factor
+        np.testing.assert_array_equal(np.tril(factor), np.tril(ridged_cholesky(mirrored)[0]))
 
     def test_non_finite_entry_raises(self):
         with pytest.raises(NonFiniteError):
             ridged_cholesky(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+    @pytest.mark.parametrize("shape", [(0, 0), (3,), (2, 3), (2, 2, 2)])
+    def test_non_square_or_empty_matrix_is_value_error(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            ridged_cholesky(np.ones(shape))
+
+
+class TestPdInverse:
+    @pytest.mark.parametrize("k", [2, 6, 50])
+    def test_matches_numpy_inverse_and_slogdet(self, rng, k):
+        root = rng.normal(size=(k, k))
+        a = root @ root.T / k + np.eye(k)
+        inverse, logdet, ridge = _pd_inverse(a)
+        assert ridge == 0.0
+        np.testing.assert_array_equal(inverse, inverse.T)
+        np.testing.assert_allclose(inverse, np.linalg.inv(a), rtol=1e-10, atol=1e-12)
+        sign, expected_logdet = np.linalg.slogdet(a)
+        assert sign == 1.0
+        assert logdet == pytest.approx(expected_logdet, rel=1e-12, abs=1e-12)
+
+    def test_reports_the_ridge_it_inverted_with(self):
+        inverse, logdet, ridge = _pd_inverse(np.diag([1.0, -0.5]))
+        assert ridge == pytest.approx(1.0, rel=1e-12)
+        np.testing.assert_allclose(inverse, np.diag([0.5, 2.0]), rtol=1e-12)
+        assert logdet == pytest.approx(0.0, abs=1e-12)  # log det diag(2, 0.5)
 
 
 class TestMaximizeConcave:
