@@ -146,7 +146,7 @@ def m_step(
     beta_acc = [np.full((k, vocab.size), BETA_SMOOTHING) for vocab in corpus.vocabularies]
     for rec, post in zip(corpus.records, posteriors):
         objective = ModeObjective(rec, current)
-        resp = objective.responsibilities(post.nu_hat)
+        resp = objective.evaluate(post.nu_hat).responsibilities()
         for m, (idx, cnt) in enumerate(zip(objective.indices, objective.counts)):
             if idx.size:
                 # distinct indices within one record: fancy += is safe
@@ -291,6 +291,8 @@ def load_model(path) -> TrainedModel:
             raise ValueError(f"M is {m!r} but there are {len(vocabularies)} vocabularies")
         mu0 = np.asarray(payload["mu0"], dtype=float)
         sigma0 = np.asarray(payload["sigma0"], dtype=float).reshape(k, k)
+        if not np.array_equal(sigma0, sigma0.T):  # save_model writes it bitwise symmetric
+            raise ValueError("sigma0 must be symmetric")
         log_beta = [
             np.asarray(payload["log_beta"][v.type_name], dtype=float).reshape(k, v.size)
             for v in vocabularies

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -53,11 +52,11 @@ LINE_SEARCH_MIN_STEP = 1e-12
 @dataclass
 class NewtonResult:
     x: np.ndarray
+    point: object  # the objective's evaluation at x, as ``evaluate`` returned it
     converged: bool
     iterations: int
     step_norm: float  # sup-norm of the Newton step left at x; 0 when converged
     status: str  # "converged" | "max_iters" | "line_search_failure"
-    objective_trace: list = field(default_factory=list)
 
 
 def ridged_cholesky(matrix: np.ndarray):
@@ -114,13 +113,15 @@ def _pd_inverse(matrix: np.ndarray):
     return 0.5 * (inverse + inverse.T), logdet, ridge
 
 
-def maximize_concave(
-    f: Callable[[np.ndarray], float],
-    grad: Callable[[np.ndarray], np.ndarray],
-    hess: Callable[[np.ndarray], np.ndarray],
-    x0,
-) -> NewtonResult:
+def maximize_concave(evaluate, x0) -> NewtonResult:
     """Damped Newton ascent with backtracking line search.
+
+    ``evaluate(x)`` returns the objective's evaluation at ``x``: an object
+    with a float ``value`` and methods ``gradient()`` and ``hessian()``. The
+    driver calls it once per point, reads only ``value`` at a line-search
+    candidate, ``gradient()`` at the start and at each accepted iterate, and
+    ``hessian()`` only where it takes a step (or reports the step left), so
+    an objective can defer what only an accepted iterate needs.
 
     The objective need not be concave: where the Hessian is not negative
     definite, the step solves the system ridged by :func:`ridged_cholesky`,
@@ -128,11 +129,11 @@ def maximize_concave(
     gradient drops to ``NEWTON_GRAD_TOL`` or after ``NEWTON_MAX_ITERS``
     iterations; the line search halves the step (``LINE_SEARCH_SHRINK``)
     down to ``LINE_SEARCH_MIN_STEP``. Every accepted step strictly increases
-    ``f``, so the method also terminates (status ``line_search_failure``)
-    where it can no longer improve ``f`` in floating point, returning the
-    best iterate seen. ``step_norm`` is the sup-norm of the (damped) Newton
-    step left at that iterate, an estimate of its distance to a stationary
-    point.
+    the value, so the method also terminates (status ``line_search_failure``)
+    where it can no longer improve it in floating point, returning the best
+    iterate seen and its evaluation as ``point``. ``step_norm`` is the
+    sup-norm of the (damped) Newton step left at that iterate, an estimate of
+    its distance to a stationary point.
 
     Raises
     ------
@@ -140,21 +141,25 @@ def maximize_concave(
         If the objective or gradient is non-finite at an accepted iterate.
     """
 
-    def newton_step(x, g):
-        factor, _ = ridged_cholesky(-np.asarray(hess(x), dtype=float))
+    def finite_gradient(point, x):
+        g = np.asarray(point.gradient(), dtype=float)
+        if not np.all(np.isfinite(g)):
+            raise NonFiniteError(f"non-finite gradient at iterate {x!r}")
+        return g
+
+    def newton_step(point, g):
+        factor, _ = ridged_cholesky(-np.asarray(point.hessian(), dtype=float))
         return _cholesky_solve(factor, g)
 
     x = np.array(x0, dtype=float)
-    fx = float(f(x))
+    point = evaluate(x)
+    fx = float(point.value)
     if not np.isfinite(fx):
         raise NonFiniteError(f"non-finite objective at start: f({x!r}) = {fx!r}")
-    trace = [fx]
     converged = False
     status = "max_iters"
     iterations = 0
-    g = np.asarray(grad(x), dtype=float)
-    if not np.all(np.isfinite(g)):
-        raise NonFiniteError(f"non-finite gradient at iterate {x!r}")
+    g = finite_gradient(point, x)
 
     for iterations in range(1, NEWTON_MAX_ITERS + 1):
         gnorm = float(np.abs(g).max())
@@ -163,13 +168,14 @@ def maximize_concave(
             status = "converged"
             iterations -= 1
             break
-        step = newton_step(x, g)
+        step = newton_step(point, g)
 
         t = 1.0
         accepted = False
         while t >= LINE_SEARCH_MIN_STEP:
             x_new = x + t * step
-            f_new = float(f(x_new))
+            candidate = evaluate(x_new)
+            f_new = float(candidate.value)
             if np.isfinite(f_new) and f_new > fx:
                 accepted = True
                 break
@@ -178,23 +184,20 @@ def maximize_concave(
             status = "line_search_failure"
             break
 
-        x, fx = x_new, f_new
-        trace.append(fx)
-        g = np.asarray(grad(x), dtype=float)
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteError(f"non-finite gradient at iterate {x!r}")
+        x, fx, point = x_new, f_new, candidate
+        g = finite_gradient(point, x)
 
     gnorm = float(np.abs(g).max())
     if gnorm <= NEWTON_GRAD_TOL:
         converged = True
         status = "converged"
     if status == "max_iters":  # the last step computed was taken; x needs its own
-        step = newton_step(x, g)
+        step = newton_step(point, g)
     return NewtonResult(
         x=x,
+        point=point,
         converged=converged,
         iterations=iterations,
         step_norm=0.0 if converged else float(np.abs(step).max()),
         status=status,
-        objective_trace=trace,
     )

@@ -82,7 +82,8 @@ def covariance_to_correlation(sigma) -> np.ndarray:
     if ridge:
         raise ValueError("covariance is not positive definite")
     d = np.diag(sigma)
-    corr = sigma / np.sqrt(np.outer(d, d))
+    with np.errstate(over="ignore"):  # d_i d_j past the float max gives 0; the diagonal is reset
+        corr = sigma / np.sqrt(np.outer(d, d))
     # exactly symmetric, with an exact unit diagonal
     corr = 0.5 * (corr + corr.T)
     np.fill_diagonal(corr, 1.0)

@@ -82,7 +82,8 @@ class ModelParams:
         if mu0.ndim != 1:
             raise ValueError(f"mu0 must be a vector, got shape {mu0.shape}")
         sigma0 = np.asarray(sigma0, dtype=float)
-        sigma0 = 0.5 * (sigma0 + sigma0.T)
+        with np.errstate(over="ignore"):  # an entry near the float max sums to inf, rejected below
+            sigma0 = 0.5 * (sigma0 + sigma0.T)
         try:
             sigma0_inv, sigma0_logdet, ridge = _pd_inverse(sigma0)
         except NonFiniteError as exc:
@@ -111,7 +112,8 @@ class ModelParams:
                 raise ValueError(f"log_beta[{m}] must have K={k} rows, got shape {lb.shape}")
             if not np.all(np.isfinite(lb)):
                 raise ValueError(f"log_beta[{m}] contains non-finite entries")
-            row_sums = np.exp(lb).sum(axis=1)
+            with np.errstate(over="ignore"):  # an entry above ~709 sums to inf, rejected below
+                row_sums = np.exp(lb).sum(axis=1)
             if np.abs(row_sums - 1.0).max() > ROW_SUM_TOL:
                 raise ValueError(f"rows of exp(log_beta[{m}]) must sum to 1 within {ROW_SUM_TOL}")
 
@@ -124,7 +126,7 @@ class DocPosterior:
     per phenotype, ``elbo`` the record's variational objective and
     ``iterations`` the number of Newton iterations. Nothing here grows with
     the record's length: the q(z) columns are recomputed from the mode when
-    needed (``ModeObjective(record, params).responsibilities(nu_hat)``).
+    needed (``ModeObjective(record, params).evaluate(nu_hat).responsibilities()``).
     """
 
     nu_hat: np.ndarray
@@ -197,16 +199,15 @@ class ModeObjective:
 
     The token work is done once per record: ``__init__`` gathers each bag's
     beta columns as B_m = exp(log_beta[m][:, idx] - top_m), shifted by their
-    column max top_m so every entry is at most 1. An evaluation then needs
-    pi, the column masses s_m = pi @ B_m, the data term c_m @ (log s_m +
-    top_m) and the expected counts pi * (B_m @ (c_m / s_m)); q(z) itself,
-    B_m * pi / s_m, is built only by :meth:`responsibilities`. A bag with a
-    mass below ``MIN_COLUMN_MASS`` at the iterate goes through the exact
-    :func:`_responsibilities` instead.
+    column max top_m so every entry is at most 1. :meth:`evaluate` then
+    needs pi, the column masses s_m = pi @ B_m and the data term c_m @
+    (log s_m + top_m); the expected counts pi * (B_m @ (c_m / s_m)) and q(z)
+    itself, B_m * pi / s_m, are built from those on demand (see
+    :class:`Evaluation`). A bag with a mass below ``MIN_COLUMN_MASS`` at the
+    point goes through the exact :func:`_responsibilities` instead.
 
-    Value, gradient and Hessian at one iterate share one pass, cached on the
-    iterate's bytes. Per-type terms are summed before the prior terms are
-    added, so permuting the types leaves every result bitwise unchanged.
+    Per-type terms are summed before the prior terms are added, so permuting
+    the types leaves every result bitwise unchanged.
     """
 
     def __init__(self, record: RecordBags, params: ModelParams):
@@ -218,73 +219,86 @@ class ModeObjective:
             columns = lb[:, idx]
             top = columns.max(axis=0)
             self._beta.append((np.exp(columns - top), top))
-        self._key = None
-        self._state = None
-        self._columns = None  # per bag at the cached iterate: (mass, q or None)
 
-    def at(self, nu):
-        """(expected, data, pi) at ``nu``, from the one-slot cache.
+    def evaluate(self, nu) -> "Evaluation":
+        """g at ``nu``, with its derivatives and q(z) on demand."""
+        return Evaluation(self, np.asarray(nu, dtype=float))
 
-        ``expected`` is the (M, K) matrix of expected counts, ``data`` the
-        per-type token log likelihoods and ``pi`` softmax(nu).
-        """
-        nu = np.asarray(nu, dtype=float)
-        key = nu.tobytes()
-        if self._key != key:
-            pi, lse = _log_normalize(nu)
-            expected = np.zeros((self.params.num_types, pi.size))
-            data = np.zeros(self.params.num_types)
-            columns = []
-            for m, ((shifted, top), idx, cnt) in enumerate(
-                zip(self._beta, self.indices, self.counts)
+
+class Evaluation:
+    """One :class:`ModeObjective` evaluation at a point nu.
+
+    ``pi`` (softmax(nu)), the column masses and ``value`` (g(nu)) are computed
+    at once. ``expected``, the (M, K) expected counts, is built on first use
+    and kept; :meth:`gradient`, :meth:`hessian` and :meth:`responsibilities`
+    are computed on each call. Everything comes from the one pass over the
+    masses, so an evaluation the line search rejects costs no expected counts.
+    ``expected`` is kept by a plain ``None`` check rather than a functools
+    cached property, which on Python 3.10/3.11 takes a class-wide lock that
+    would serialize threaded E-steps.
+    """
+
+    def __init__(self, objective: ModeObjective, nu: np.ndarray):
+        self._objective = objective
+        params = objective.params
+        self.pi, lse = _log_normalize(nu)
+        data = np.zeros(params.num_types)
+        self._columns = []  # per bag: (mass, q or None)
+        for m, ((shifted, top), idx, cnt) in enumerate(
+            zip(objective._beta, objective.indices, objective.counts)
+        ):
+            mass = self.pi @ shifted
+            if np.all(mass >= MIN_COLUMN_MASS):
+                data[m] = cnt @ (np.log(mass) + top)
+                q = None
+            else:
+                q, _, data[m] = _responsibilities(params.log_beta[m], idx, cnt, nu)
+                data[m] -= cnt.sum() * lse
+            self._columns.append((mass, q))
+        self._centered = nu - params.mu0
+        prior = 0.5 * float(self._centered @ params.sigma0_inv @ self._centered)
+        self.value = float(data.sum()) - prior
+        self._expected = None
+
+    @property
+    def expected(self) -> np.ndarray:
+        if self._expected is None:
+            self._expected = np.zeros((len(self._columns), self.pi.size))
+            for m, ((shifted, _), cnt, (mass, q)) in enumerate(
+                zip(self._objective._beta, self._objective.counts, self._columns)
             ):
-                mass = pi @ shifted
-                if np.all(mass >= MIN_COLUMN_MASS):
-                    expected[m] = pi * (shifted @ (cnt / mass))
-                    data[m] = cnt @ (np.log(mass) + top)
-                    q = None
-                else:
-                    q, expected[m], data[m] = _responsibilities(
-                        self.params.log_beta[m], idx, cnt, nu
-                    )
-                    data[m] -= cnt.sum() * lse
-                columns.append((mass, q))
-            self._state = (expected, data, pi)
-            self._columns = columns
-            self._key = key
-        return self._state
+                self._expected[m] = self.pi * (shifted @ (cnt / mass)) if q is None else q @ cnt
+        return self._expected
 
-    def responsibilities(self, nu) -> list:
-        """Per-type (K, n_m) q(z) columns at ``nu``, aligned with ``indices``."""
-        pi = self.at(nu)[2]
-        return [
-            shifted * pi[:, None] / mass if q is None else q
-            for (shifted, _), (mass, q) in zip(self._beta, self._columns)
-        ]
+    def gradient(self) -> np.ndarray:
+        objective = self._objective
+        return (
+            self.expected.sum(axis=0)
+            - objective.n_total * self.pi
+            - objective.params.sigma0_inv @ self._centered
+        )
 
-    def value(self, nu) -> float:
-        _, data, _ = self.at(nu)
-        centered = np.asarray(nu, dtype=float) - self.params.mu0
-        prior = 0.5 * float(centered @ self.params.sigma0_inv @ centered)
-        return float(data.sum()) - prior
-
-    def gradient(self, nu) -> np.ndarray:
-        expected, _, pi = self.at(nu)
-        centered = np.asarray(nu, dtype=float) - self.params.mu0
-        return expected.sum(axis=0) - self.n_total * pi - self.params.sigma0_inv @ centered
-
-    def hessian(self, nu) -> np.ndarray:
-        expected, _, pi = self.at(nu)
+    def hessian(self) -> np.ndarray:
+        pi = self.pi
         k = pi.size
         # (R * c) R' = outer(pi, pi) * (B * c / s**2) B' on the factored bags
         factored, exact = np.zeros((k, k)), np.zeros((k, k))
-        for (shifted, _), cnt, (mass, q) in zip(self._beta, self.counts, self._columns):
+        for (shifted, _), cnt, (mass, q) in zip(
+            self._objective._beta, self._objective.counts, self._columns
+        ):
             if q is None:
                 factored += (shifted * (cnt / (mass * mass))) @ shifted.T
             else:
                 exact += (q * cnt) @ q.T
-        data = np.diag(expected.sum(axis=0)) - np.outer(pi, pi) * factored - exact
-        return data + _laplace_hessian(pi, self.n_total, self.params)
+        data = np.diag(self.expected.sum(axis=0)) - np.outer(pi, pi) * factored - exact
+        return data + _laplace_hessian(pi, self._objective.n_total, self._objective.params)
+
+    def responsibilities(self) -> list:
+        """Per-type (K, n_m) q(z) columns, aligned with the objective's ``indices``."""
+        return [
+            shifted * self.pi[:, None] / mass if q is None else q
+            for (shifted, _), (mass, q) in zip(self._objective._beta, self._columns)
+        ]
 
 
 def _invert_neg_hessian(hessian: np.ndarray):
@@ -331,22 +345,21 @@ def infer_document(
     """
     objective = ModeObjective(record, params)
     nu0 = np.array(params.mu0 if nu_init is None else nu_init, dtype=float)
-    result = maximize_concave(objective.value, objective.gradient, objective.hessian, nu0)
-    nu_hat = result.x
-    expected, _, pi = objective.at(nu_hat)
-    hessian = _laplace_hessian(pi, objective.n_total, params)
+    result = maximize_concave(objective.evaluate, nu0)
+    mode = result.point
+    hessian = _laplace_hessian(mode.pi, objective.n_total, params)
     nu_cov, logdet_cov = _invert_neg_hessian(hessian)
     elbo = (
-        objective.value(nu_hat)
+        mode.value
         + 0.5 * (params.num_phenotypes + float(np.sum(hessian * nu_cov)))
         + 0.5 * (logdet_cov - params.sigma0_logdet)
     )
 
     return DocPosterior(
-        nu_hat=nu_hat,
+        nu_hat=result.x,
         nu_cov=nu_cov,
-        expected_counts=expected,
-        proportions=pi,
+        expected_counts=mode.expected,
+        proportions=mode.pi,
         elbo=elbo,
         converged=result.converged or result.step_norm <= CONVERGED_STEP_TOL,
         iterations=result.iterations,

@@ -48,12 +48,12 @@ def test_criterion_01_derivative_correctness():
             record = random_record(rng, params, lengths)
             objective = ModeObjective(record, params)
             nu = rng.normal(scale=2.0, size=k)
-            grad = objective.gradient(nu)
-            grad_fd = finite_difference_gradient(objective.value, nu, 1e-6)
+            grad = objective.evaluate(nu).gradient()
+            grad_fd = finite_difference_gradient(lambda x: objective.evaluate(x).value, nu, 1e-6)
             rel = np.abs(grad - grad_fd).max() / max(1.0, np.abs(grad_fd).max())
             worst_grad = max(worst_grad, rel)
-            hess = objective.hessian(nu)
-            hess_fd = fd_jacobian(objective.gradient, nu, 1e-5)
+            hess = objective.evaluate(nu).hessian()
+            hess_fd = fd_jacobian(lambda x: objective.evaluate(x).gradient(), nu, 1e-5)
             worst_hess = max(worst_hess, np.abs(hess - hess_fd).max())
     elapsed = time.monotonic() - started
     report(
@@ -182,7 +182,7 @@ def test_criterion_06_normalization_and_conservation():
         for rec, w in zip(corpus.records, warm):
             post = infer_document(rec, params, nu_init=w)
             posts.append(post)
-            resp = ModeObjective(rec, params).responsibilities(post.nu_hat)
+            resp = ModeObjective(rec, params).evaluate(post.nu_hat).responsibilities()
             for m, bag in enumerate(rec.bags):
                 if bag:
                     sums = resp[m].sum(axis=0)

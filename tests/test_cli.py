@@ -323,6 +323,7 @@ class TestPhenotypes:
         "corrupt, expected",
         [
             (lambda p: p.update(sigma0=[1.0, 2.0, 2.0, 1.0]), 2),  # not positive definite
+            (lambda p: p["sigma0"].__setitem__(1, p["sigma0"][1] + 1e-6), 2),  # [0][1] != [1][0]
             (lambda p: p["log_beta"]["dx"].__setitem__(0, 0.0), 2),  # row sums past 1
             (lambda p: p.update(mu0=p["mu0"][:1]), 2),
             (lambda p: p.update(K="<huge>"), 2),  # a 5,000-digit integer literal
@@ -346,7 +347,7 @@ class TestPhenotypes:
             (lambda p: _set_dx_tokens(p, [True, False, None, 1.5, "a", "b"]), 2),
             (lambda p: _set_dx_tokens(p, "abcdef"), 2),
         ],
-        ids=["sigma0-not-pd", "row-sum", "mu0-short", "huge-K", "infinite-K",
+        ids=["sigma0-not-pd", "sigma0-asymmetric", "row-sum", "mu0-short", "huge-K", "infinite-K",
              "vocabularies-list", "history-int", "fingerprint-int", "fractional-K",
              "config-K-differs", "M-differs", "history-string", "converged-string",
              "mu0-scalar", "empty-vocabulary", "config-seed-string", "config-seed-negative",
@@ -623,6 +624,9 @@ class TestEvalScenarioProperty:
 # Replacement values of any JSON type; integers stay small so that no
 # mutation asks for a large model or corpus.
 ANY_JSON = st.one_of(NON_INTEGER_JSON, st.integers(-2, 5))
+# Replacements for one entry of a model's numeric arrays: any JSON value, or a
+# float at the edge of binary64's range.
+ANY_ENTRY = st.one_of(ANY_JSON, st.sampled_from([1e308, -1e308, 1e-300, 1e300]))
 BAD_COUNTS = st.sampled_from([0, -1, 1.5, True, "3"])
 
 
@@ -643,7 +647,7 @@ def _field_mutation(draw, obj):
 @st.composite
 def mutated_models(draw, payload):
     payload = copy.deepcopy(payload)
-    kind = draw(st.sampled_from(["field", "config", "empty-tokens", "tokens", "count"]))
+    kind = draw(st.sampled_from(["field", "config", "empty-tokens", "tokens", "count", "entry"]))
     if kind == "field":
         return _field_mutation(draw, payload)
     if kind == "config":
@@ -653,6 +657,11 @@ def mutated_models(draw, payload):
         payload["vocabularies"]["dx"] = []
     elif kind == "tokens":
         payload["vocabularies"]["dx"] = draw(st.one_of(ANY_JSON, st.lists(ANY_JSON, max_size=6)))
+    elif kind == "entry":
+        values = draw(st.sampled_from(
+            [payload["mu0"], payload["sigma0"], *payload["log_beta"].values()]
+        ))
+        values[draw(st.integers(0, len(values) - 1))] = draw(ANY_ENTRY)
     else:
         payload[draw(st.sampled_from(["K", "M"]))] = draw(BAD_COUNTS)
     return payload

@@ -1,6 +1,7 @@
 """Numerical kernels: softmax/logsumexp stability, ridge repair, Newton ascent; the FD oracle."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -176,13 +177,44 @@ class TestPdInverse:
         assert logdet == pytest.approx(0.0, abs=1e-12)  # log det diag(2, 0.5)
 
 
+def points(f, grad, hess):
+    """``evaluate`` for :func:`maximize_concave` from value, gradient and Hessian functions."""
+    return lambda x: SimpleNamespace(value=f(x), gradient=lambda: grad(x), hessian=lambda: hess(x))
+
+
+class CountingObjective:
+    """A fake objective that records, by position in ``points``, which of its
+    evaluations the driver reads a gradient or Hessian from."""
+
+    def __init__(self, f, grad, hess):
+        self.f, self.grad, self.hess = f, grad, hess
+        self.points, self.gradient_reads, self.hessian_reads = [], [], []
+
+    def evaluate(self, x):
+        x, index = np.array(x), len(self.points)
+
+        def gradient():
+            self.gradient_reads.append(index)
+            return self.grad(x)
+
+        def hessian():
+            self.hessian_reads.append(index)
+            return self.hess(x)
+
+        point = SimpleNamespace(x=x, value=self.f(x), gradient=gradient, hessian=hessian)
+        self.points.append(point)
+        return point
+
+
 class TestMaximizeConcave:
     def test_quadratic_one_step(self):
         a = np.array([2.0, -1.0, 0.5])
         result = maximize_concave(
-            lambda x: -0.5 * float((x - a) @ (x - a)),
-            lambda x: a - x,
-            lambda x: -np.eye(3),
+            points(
+                lambda x: -0.5 * float((x - a) @ (x - a)),
+                lambda x: a - x,
+                lambda x: -np.eye(3),
+            ),
             np.zeros(3),
         )
         assert result.converged
@@ -198,9 +230,11 @@ class TestMaximizeConcave:
             b = rng.normal(size=k)
             x_star = np.linalg.solve(a, b)
             result = maximize_concave(
-                lambda x: float(b @ x - 0.5 * x @ a @ x),
-                lambda x: b - a @ x,
-                lambda x: -a,
+                points(
+                    lambda x: float(b @ x - 0.5 * x @ a @ x),
+                    lambda x: b - a @ x,
+                    lambda x: -a,
+                ),
                 rng.normal(size=k),
             )
             assert result.converged
@@ -214,9 +248,11 @@ class TestMaximizeConcave:
         a = root @ root.T + np.eye(k)
         b = rng.normal(size=k)
         result = maximize_concave(
-            lambda x: float(b @ x - 0.5 * x @ a @ x),
-            lambda x: b - a @ x,
-            lambda x: -a,
+            points(
+                lambda x: float(b @ x - 0.5 * x @ a @ x),
+                lambda x: b - a @ x,
+                lambda x: -a,
+            ),
             np.zeros(k),
         )
         assert np.abs(b - a @ result.x).max() <= 1e-9
@@ -240,10 +276,46 @@ class TestMaximizeConcave:
             def hess(x):
                 return -np.eye(k) + np.diag(6 * c * x)
 
-            result = maximize_concave(f, grad, hess, np.zeros(k))
-            trace = np.array(result.objective_trace)
+            objective = CountingObjective(f, grad, hess)
+            result = maximize_concave(objective.evaluate, np.zeros(k))
+            # the driver reads the gradient at the start and at each accepted iterate
+            trace = np.array([objective.points[i].value for i in objective.gradient_reads])
             assert np.all(np.diff(trace) > 0)
             assert result.status in ("converged", "max_iters", "line_search_failure")
+
+    def test_reads_value_at_candidates_and_derivatives_at_iterates(self):
+        # -x^2 / 2 with its curvature understated fourfold: the full step from
+        # x = 1 lands on -3 and the half step on -1, neither higher, so the
+        # quarter step reaches the optimum 0
+        objective = CountingObjective(
+            lambda x: -0.5 * float(x @ x), lambda x: -x, lambda x: -0.25 * np.eye(1)
+        )
+        result = maximize_concave(objective.evaluate, np.ones(1))
+        assert result.status == "converged" and result.iterations == 1
+        # one evaluate per point: the start and three candidates
+        assert [float(p.x[0]) for p in objective.points] == [1.0, -3.0, -1.0, 0.0]
+        assert objective.gradient_reads == [0, 3]  # the start and the accepted iterate
+        assert objective.hessian_reads == [0]  # one per step taken
+        assert result.point is objective.points[3]
+        np.testing.assert_array_equal(result.point.x, result.x)
+
+    def test_reads_one_more_hessian_at_max_iters(self, monkeypatch):
+        monkeypatch.setattr(numerics, "NEWTON_MAX_ITERS", 3)
+        monkeypatch.setattr(numerics, "NEWTON_GRAD_TOL", 1e-300)
+        a = np.full(2, 10.0)
+        objective = CountingObjective(
+            lambda x: float(-np.sum(np.cosh(x - a))),
+            lambda x: -np.sinh(x - a),
+            lambda x: -np.diag(np.cosh(x - a)),
+        )
+        result = maximize_concave(objective.evaluate, np.zeros(2))
+        assert result.status == "max_iters" and result.iterations == 3
+        # every full step is accepted: the start and three iterates, no more
+        assert len(objective.points) == 4
+        assert objective.gradient_reads == [0, 1, 2, 3]
+        assert objective.hessian_reads == [0, 1, 2, 3]  # three steps and the one left at x
+        assert result.point is objective.points[3]
+        np.testing.assert_array_equal(result.point.x, result.x)
 
     def test_max_iters_returns_best_iterate_with_flag(self, monkeypatch):
         monkeypatch.setattr(numerics, "NEWTON_MAX_ITERS", 1)
@@ -259,7 +331,7 @@ class TestMaximizeConcave:
         def hess(x):
             return -np.diag(np.cosh(x - a))
 
-        result = maximize_concave(f, grad, hess, np.zeros(3))
+        result = maximize_concave(points(f, grad, hess), np.zeros(3))
         assert not result.converged
         assert result.status == "max_iters"
         assert f(result.x) > f(np.zeros(3))
@@ -269,8 +341,6 @@ class TestMaximizeConcave:
     def test_non_finite_objective_raises(self):
         with pytest.raises(NonFiniteError):
             maximize_concave(
-                lambda x: float("nan"),
-                lambda x: -x,
-                lambda x: -np.eye(2),
+                points(lambda x: float("nan"), lambda x: -x, lambda x: -np.eye(2)),
                 np.zeros(2),
             )

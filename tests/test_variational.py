@@ -92,14 +92,14 @@ def laplace_precision(post, params):
 class TestObjective:
     def test_zero_counts_leave_prior_term(self):
         params = make_params([0.0, 0.0], np.eye(2), [np.full((2, 4), 0.25)])
-        assert objective(params, [{}]).value(np.array([3.0, -1.0])) == pytest.approx(
+        assert objective(params, [{}]).evaluate(np.array([3.0, -1.0])).value == pytest.approx(
             -5.0, abs=1e-12
         )
 
     def test_hand_evaluated_single_count(self):
         # log sum_k exp(0 + log 0.25) - 1 * log 2 = log 0.5 - log 2
         params = make_params([0.0, 0.0], np.eye(2), [np.full((2, 4), 0.25)])
-        value = objective(params, [{0: 1}]).value(np.zeros(2))
+        value = objective(params, [{0: 1}]).evaluate(np.zeros(2)).value
         assert value == pytest.approx(-2.0 * math.log(2), abs=1e-12)
 
     def test_matches_independent_reimplementation(self, rng):
@@ -117,7 +117,7 @@ class TestObjective:
             for bag, lb in zip(record.bags, params.log_beta):
                 for v, c in bag.items():
                     expected += c * np.log(pi @ np.exp(lb[:, v]))
-            value = ModeObjective(record, params).value(nu)
+            value = ModeObjective(record, params).evaluate(nu).value
             assert value == pytest.approx(expected, rel=1e-9)
 
 
@@ -125,14 +125,14 @@ class TestGradient:
     def test_stationary_at_prior_mean_without_data(self, rng):
         params = random_params(rng, 3, [5])
         np.testing.assert_allclose(
-            objective(params, [{}]).gradient(params.mu0), np.zeros(3), atol=1e-12
+            objective(params, [{}]).evaluate(params.mu0).gradient(), np.zeros(3), atol=1e-12
         )
 
     def test_hand_evaluated(self):
         # q(z) of token 0 at nu=0 is (0.75, 0.25): expected counts (3, 1)
         # minus N pi = (2, 2), with no prior pull at the prior mean
         params = make_params([0.0, 0.0], np.eye(2), [[[0.75, 0.25], [0.25, 0.75]]])
-        grad = objective(params, [{0: 4}]).gradient(np.zeros(2))
+        grad = objective(params, [{0: 4}]).evaluate(np.zeros(2)).gradient()
         np.testing.assert_allclose(grad, [1.0, -1.0], atol=1e-12)
 
     def test_matches_finite_differences(self, rng):
@@ -142,8 +142,8 @@ class TestGradient:
                 params = random_params(rng, k, [9])
                 obj = ModeObjective(random_record(rng, params, [int(rng.integers(1, 60))]), params)
                 nu = rng.normal(scale=2.0, size=k)
-                grad = obj.gradient(nu)
-                approx = finite_difference_gradient(obj.value, nu, 1e-6)
+                grad = obj.evaluate(nu).gradient()
+                approx = finite_difference_gradient(lambda x: obj.evaluate(x).value, nu, 1e-6)
                 rel = np.abs(grad - approx).max() / max(1.0, np.abs(approx).max())
                 worst = max(worst, rel)
         assert worst <= 1e-5
@@ -153,7 +153,7 @@ class TestHessian:
     def test_no_data_reduces_to_prior_precision(self, rng):
         params = random_params(rng, 4, [5])
         np.testing.assert_allclose(
-            objective(params, [{}]).hessian(rng.normal(size=4)),
+            objective(params, [{}]).evaluate(rng.normal(size=4)).hessian(),
             -params.sigma0_inv,
             atol=1e-12,
         )
@@ -165,8 +165,8 @@ class TestHessian:
             params = random_params(rng, k, [6, 4])
             obj = ModeObjective(random_record(rng, params, [30, 10]), params)
             nu = rng.normal(size=k)
-            approx = fd_jacobian(obj.gradient, nu, 1e-5)
-            worst = max(worst, np.abs(obj.hessian(nu) - approx).max())
+            approx = fd_jacobian(lambda x: obj.evaluate(x).gradient(), nu, 1e-5)
+            worst = max(worst, np.abs(obj.evaluate(nu).hessian() - approx).max())
         assert worst <= 1e-4
 
     def test_symmetric_and_negated_pd(self, rng):
@@ -176,7 +176,7 @@ class TestHessian:
             k = int(rng.integers(2, 8))
             params = random_params(rng, k, [6])
             nu = rng.normal(scale=3.0, size=k)
-            hess = ModeObjective(random_record(rng, params, [50]), params).hessian(nu)
+            hess = ModeObjective(random_record(rng, params, [50]), params).evaluate(nu).hessian()
             assert np.abs(hess - hess.T).max() <= 1e-12 * max(1.0, np.abs(hess).max())
             laplace = _laplace_hessian(softmax(nu), 50.0, params)
             assert np.abs(laplace - laplace.T).max() <= 1e-12
@@ -195,16 +195,17 @@ def near_smoothing_params(rng, k, vocab_sizes):
 
 
 class TestFactoredPass:
-    """ModeObjective's cached-column pass against the exact per-bag path."""
+    """ModeObjective's factored evaluation against the exact per-bag path."""
 
     def assert_matches_exact(self, objective, nu, rel=1e-12):
         value, gradient, hessian, expected, resp = exact_pass(objective, nu)
+        point = objective.evaluate(nu)
         scale = max(1.0, objective.n_total)
-        assert abs(objective.value(nu) - value) <= rel * max(1.0, abs(value))
-        assert np.abs(objective.gradient(nu) - gradient).max() <= rel * scale
-        assert np.abs(objective.hessian(nu) - hessian).max() <= rel * scale
-        assert np.abs(objective.at(nu)[0] - expected).max() <= rel * scale
-        for q, q_exact in zip(objective.responsibilities(nu), resp):
+        assert abs(point.value - value) <= rel * max(1.0, abs(value))
+        assert np.abs(point.gradient() - gradient).max() <= rel * scale
+        assert np.abs(point.hessian() - hessian).max() <= rel * scale
+        assert np.abs(point.expected - expected).max() <= rel * scale
+        for q, q_exact in zip(point.responsibilities(), resp):
             assert q.shape == q_exact.shape
             assert np.abs(q - q_exact).max(initial=0.0) <= rel
 
@@ -227,9 +228,10 @@ class TestFactoredPass:
         params = ModelParams.create(np.zeros(3), np.eye(3), log_beta)
         obj = objective(params, [{0: 3, 1: 2}, {2: 5}])
         nu = np.array([0.0, -750.0, 0.0])
-        assert np.all(np.isfinite(obj.hessian(nu)))
-        assert np.isfinite(obj.value(nu))
-        assert obj.responsibilities(nu)[0][1, 0] == pytest.approx(1.0, rel=1e-12)
+        point = obj.evaluate(nu)
+        assert np.all(np.isfinite(point.hessian()))
+        assert np.isfinite(point.value)
+        assert point.responsibilities()[0][1, 0] == pytest.approx(1.0, rel=1e-12)
         self.assert_matches_exact(obj, nu)
 
 
@@ -250,7 +252,7 @@ class TestUpdateQNu:
         post = infer_document(record, params)
         assert post.converged
         assert post.nu_hat[0] > post.nu_hat[1]
-        assert np.abs(ModeObjective(record, params).gradient(post.nu_hat)).max() <= 1e-6
+        assert np.abs(ModeObjective(record, params).evaluate(post.nu_hat).gradient()).max() <= 1e-6
 
     def test_symmetric_counts_give_symmetric_mode(self):
         # swapping phenotypes 0 and 1 together with tokens 0 and 1 maps the
@@ -386,7 +388,8 @@ class TestInferDocument:
             record = random_record(rng, params, [int(rng.integers(0, 80)), 9])
             post = infer_document(record, params)
             assert post.converged
-            assert np.abs(ModeObjective(record, params).gradient(post.nu_hat)).max() <= 1e-6
+            gradient = ModeObjective(record, params).evaluate(post.nu_hat).gradient()
+            assert np.abs(gradient).max() <= 1e-6
             s = post.expected_counts.sum(axis=0)
             q_nu_grad = s - s.sum() * softmax(post.nu_hat) - np.linalg.solve(
                 params.sigma0, post.nu_hat - params.mu0
@@ -403,7 +406,7 @@ class TestInferDocument:
         bag = {v: int(c) * 10**6 for v, c in enumerate(rng.integers(1, 10, size=8))}
         record = RecordBags("r", (bag,))
         post = infer_document(record, params)
-        assert np.abs(ModeObjective(record, params).gradient(post.nu_hat)).max() > 1e-6
+        assert np.abs(ModeObjective(record, params).evaluate(post.nu_hat).gradient()).max() > 1e-6
         assert post.converged
 
     def test_newton_cap_with_large_step_is_unconverged(self, monkeypatch):
