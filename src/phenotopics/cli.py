@@ -1,11 +1,13 @@
 """Command-line surface: train, phenotypes, summarize, eval, coverage.
 
-Exit codes: 0 success, 1 bad arguments, 2 I/O or parse failure (an unreadable
-file, a ``CorpusError`` or a ``ModelFormatError``), 3 convergence or threshold
-not met, 4 vocabulary incompatibility (a ``FingerprintError``); :func:`main`
-maps each error to its code in one place. Diagnostics go to stderr; data goes
-to files. A run that exits 0 or 3 writes a ``manifest.json`` next to its
-outputs echoing the command, arguments, seed, and convergence flags;
+Exit codes: 0 success, 1 bad arguments (a size too large to allocate among
+them), 2 I/O or parse failure (an unreadable file, a ``CorpusError`` or a
+``ModelFormatError``), 3 convergence or threshold not met, 4 vocabulary
+incompatibility (a ``FingerprintError``); :func:`main` maps each error to its
+code in one place. Diagnostics go to stderr; data goes to files. A run that
+exits 0 or 3 writes a ``manifest.json`` next to its outputs echoing the
+command, arguments, seed, and convergence flags (for train, eval and coverage
+also ``nonconverged_records``, the records whose inference did not converge);
 rerunning with the same inputs reproduces the primary outputs byte for byte
 (the manifest's wall time is the only timestamp anywhere).
 
@@ -116,6 +118,10 @@ def _write_manifest(args, outputs, started, extra):
         fh.write("\n")
 
 
+def _nonconverged_records(model) -> int:
+    return sum(not post.converged for post in model.doc_posteriors)
+
+
 def _ensure_out(path):
     os.makedirs(path, exist_ok=True)
     return path
@@ -150,7 +156,7 @@ def cmd_train(args) -> tuple:
     extra = {
         "converged": model.converged,
         "em_iterations": len(model.history),
-        "nonconverged_records": sum(not post.converged for post in model.doc_posteriors),
+        "nonconverged_records": _nonconverged_records(model),
     }
     if model.converged:
         _log(f"converged after {len(model.history)} EM iterations")
@@ -271,7 +277,12 @@ def cmd_eval(args) -> tuple:
     if report.mean_tv > args.tv_threshold:
         _log(f"threshold {args.tv_threshold} not met")
         code = EXIT_THRESHOLD
-    return code, {"report": report_path}, {"mean_tv": report.mean_tv, "converged": model.converged}
+    extra = {
+        "mean_tv": report.mean_tv,
+        "converged": model.converged,
+        "nonconverged_records": _nonconverged_records(model),
+    }
+    return code, {"report": report_path}, extra
 
 
 def cmd_coverage(args) -> tuple:
@@ -293,7 +304,7 @@ def cmd_coverage(args) -> tuple:
             writer.writerow([bucket_label(bucket), repr(fraction)])
     for bucket, fraction in fractions.items():
         _log(f"records explained by {bucket_label(bucket)} phenotypes: {fraction:.1%}")
-    return EXIT_OK, {"histogram": hist_path}, {}
+    return EXIT_OK, {"histogram": hist_path}, {"nonconverged_records": _nonconverged_records(model)}
 
 
 def build_parser():
@@ -427,6 +438,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         _log(f"I/O error: {exc}")
         return EXIT_IO
+    except MemoryError as exc:  # a size too large to allocate
+        _log(f"error: out of memory: {exc}")
+        return EXIT_ARGS
 
 
 if __name__ == "__main__":

@@ -65,6 +65,8 @@ class TrainConfig:
             raise ValueError(f"em_tol must be a number, got {self.em_tol!r}")
         if self.K < 2:
             raise ValueError("K must be >= 2")
+        if self.K * self.K * 8 > np.iinfo(np.intp).max:  # bytes of the K x K float prior
+            raise ValueError(f"K={self.K} is too large: numpy cannot hold a K x K prior")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.max_em_iters < 0:

@@ -53,10 +53,13 @@ LINE_SEARCH_MIN_STEP = 1e-12
 class NewtonResult:
     x: np.ndarray
     point: object  # the objective's evaluation at x, as ``evaluate`` returned it
-    converged: bool
     iterations: int
     step_norm: float  # sup-norm of the Newton step left at x; 0 when converged
     status: str  # "converged" | "max_iters" | "line_search_failure"
+
+    @property
+    def converged(self) -> bool:
+        return self.status == "converged"
 
 
 def ridged_cholesky(matrix: np.ndarray):
@@ -125,79 +128,59 @@ def maximize_concave(evaluate, x0) -> NewtonResult:
 
     The objective need not be concave: where the Hessian is not negative
     definite, the step solves the system ridged by :func:`ridged_cholesky`,
-    which still gives an ascent direction. Stops when the sup-norm of the
-    gradient drops to ``NEWTON_GRAD_TOL`` or after ``NEWTON_MAX_ITERS``
-    iterations; the line search halves the step (``LINE_SEARCH_SHRINK``)
-    down to ``LINE_SEARCH_MIN_STEP``. Every accepted step strictly increases
-    the value, so the method also terminates (status ``line_search_failure``)
-    where it can no longer improve it in floating point, returning the best
-    iterate seen and its evaluation as ``point``. ``step_norm`` is the
-    sup-norm of the (damped) Newton step left at that iterate, an estimate of
-    its distance to a stationary point.
+    which still gives an ascent direction. Each iterate reads its gradient
+    once and makes three tests, in this order:
+
+    1. a gradient sup-norm at most ``NEWTON_GRAD_TOL`` stops with status
+       ``converged``;
+    2. otherwise the Newton step is computed, and after ``NEWTON_MAX_ITERS``
+       iterations the driver stops with status ``max_iters``;
+    3. otherwise the iteration counts and the line search halves the step
+       (``LINE_SEARCH_SHRINK``) down to ``LINE_SEARCH_MIN_STEP``. Every
+       accepted step strictly increases the value; where none does in
+       floating point, the driver stops with status ``line_search_failure``,
+       and the failed attempt counts in ``iterations``.
+
+    The result holds the last accepted iterate and its evaluation as
+    ``point``. ``step_norm`` is the sup-norm of the Newton step left at that
+    iterate (0 when converged), an estimate of its distance to a stationary
+    point.
 
     Raises
     ------
     NonFiniteError
         If the objective or gradient is non-finite at an accepted iterate.
     """
-
-    def finite_gradient(point, x):
-        g = np.asarray(point.gradient(), dtype=float)
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteError(f"non-finite gradient at iterate {x!r}")
-        return g
-
-    def newton_step(point, g):
-        factor, _ = ridged_cholesky(-np.asarray(point.hessian(), dtype=float))
-        return _cholesky_solve(factor, g)
-
     x = np.array(x0, dtype=float)
     point = evaluate(x)
     fx = float(point.value)
     if not np.isfinite(fx):
         raise NonFiniteError(f"non-finite objective at start: f({x!r}) = {fx!r}")
-    converged = False
-    status = "max_iters"
     iterations = 0
-    g = finite_gradient(point, x)
-
-    for iterations in range(1, NEWTON_MAX_ITERS + 1):
-        gnorm = float(np.abs(g).max())
-        if gnorm <= NEWTON_GRAD_TOL:
-            converged = True
+    while True:
+        g = np.asarray(point.gradient(), dtype=float)
+        if not np.all(np.isfinite(g)):
+            raise NonFiniteError(f"non-finite gradient at iterate {x!r}")
+        if float(np.abs(g).max()) <= NEWTON_GRAD_TOL:
             status = "converged"
-            iterations -= 1
             break
-        step = newton_step(point, g)
-
+        factor, _ = ridged_cholesky(-np.asarray(point.hessian(), dtype=float))
+        step = _cholesky_solve(factor, g)
+        if iterations >= NEWTON_MAX_ITERS:
+            status = "max_iters"
+            break
+        iterations += 1
         t = 1.0
-        accepted = False
         while t >= LINE_SEARCH_MIN_STEP:
             x_new = x + t * step
             candidate = evaluate(x_new)
             f_new = float(candidate.value)
             if np.isfinite(f_new) and f_new > fx:
-                accepted = True
                 break
             t *= LINE_SEARCH_SHRINK
-        if not accepted:
+        else:
             status = "line_search_failure"
             break
-
         x, fx, point = x_new, f_new, candidate
-        g = finite_gradient(point, x)
-
-    gnorm = float(np.abs(g).max())
-    if gnorm <= NEWTON_GRAD_TOL:
-        converged = True
-        status = "converged"
-    if status == "max_iters":  # the last step computed was taken; x needs its own
-        step = newton_step(point, g)
-    return NewtonResult(
-        x=x,
-        point=point,
-        converged=converged,
-        iterations=iterations,
-        step_norm=0.0 if converged else float(np.abs(step).max()),
-        status=status,
-    )
+    step_norm = 0.0 if status == "converged" else float(np.abs(step).max())
+    return NewtonResult(x=x, point=point, iterations=iterations, step_norm=step_norm, status=status)

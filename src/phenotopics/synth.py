@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 import scipy.optimize
 
-from .corpus import Corpus, RecordBags, Vocabulary
+from .corpus import MAX_COUNT, Corpus, RecordBags, Vocabulary
 from .learning import TrainedModel
 from .numerics import softmax
 from .phenotype import covariance_to_correlation
@@ -73,8 +73,9 @@ class Scenario:
     planted into the prior covariance.
 
     The sizes are exact integers (``type(x) is int``, so no bools or floats),
-    ``block_mass`` is a number and every pair is a 3-tuple of two integers and
-    a number; anything else raises ValueError.
+    ``tokens_per_type`` is at most ``corpus.MAX_COUNT``, ``block_mass`` is a
+    number and every pair is a 3-tuple of two integers and a number; anything
+    else raises ValueError.
     """
 
     name: str
@@ -105,6 +106,8 @@ class Scenario:
             )
         if self.tokens_per_type < 0 or self.block_overlap < 0:
             raise ValueError("tokens_per_type and block_overlap must be non-negative")
+        if self.tokens_per_type > MAX_COUNT:
+            raise ValueError(f"tokens_per_type must be at most {MAX_COUNT}")
         if type(self.sigma0_pairs) is not tuple:
             raise ValueError(f"sigma0_pairs must be a tuple, got {self.sigma0_pairs!r}")
         for pair in self.sigma0_pairs:

@@ -328,10 +328,11 @@ def infer_document(
     EM iteration's mode as a warm start) and maximizes :class:`ModeObjective`.
     q(z) is read off at the mode, and the covariance is the inverse of
     N (diag(pi) - pi pi') + sigma0_inv there. The record counts as converged
-    when Newton met its gradient tolerance or the Newton step left at the
-    returned mode is at most ``CONVERGED_STEP_TOL`` in sup-norm (the float
-    floor of the objective can stop the line search first). Deterministic: no
-    randomness anywhere in the updates.
+    when the Newton step left at the returned mode is at most
+    ``CONVERGED_STEP_TOL`` in sup-norm: the step is 0 where Newton met its
+    gradient tolerance, and small where the float floor of the objective
+    stopped the line search first. Deterministic: no randomness anywhere in
+    the updates.
 
     The variational objective E_q[log p(nu, z, x)] + H[q], with the
     logsumexp(nu) expectation taken to second order at the mode, is
@@ -361,6 +362,6 @@ def infer_document(
         expected_counts=mode.expected,
         proportions=mode.pi,
         elbo=elbo,
-        converged=result.converged or result.step_norm <= CONVERGED_STEP_TOL,
+        converged=result.step_norm <= CONVERGED_STEP_TOL,
         iterations=result.iterations,
     )

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phenotopics import cli, learning, numerics
 from phenotopics.cli import main
 from phenotopics.corpus import save_corpus
 from phenotopics.learning import vocab_fingerprint
@@ -215,6 +216,32 @@ class TestTrain:
                      "--out", str(out)])
         assert code == 1
         assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_k_too_large_for_numpy_is_argument_error(self, corpus_dir, tmp_path, capsys, via):
+        # TrainConfig refuses this K before anything is allocated
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": 10**30}))
+        k_flags = ["--k", str(10**30)] if via == "flag" else ["--config", str(cfg)]
+        out = tmp_path / "o"
+        code = main(["train", "--corpus", str(corpus_dir), *k_flags, "--seed", "0",
+                     "--out", str(out)])
+        assert code == 1
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_allocation_failure_is_argument_error(self, corpus_dir, tmp_path, capsys, monkeypatch):
+        def refuse(corpus, cfg):
+            raise MemoryError("Unable to allocate 14.6 TiB for an array")
+
+        monkeypatch.setattr(learning, "initialize", refuse)
+        out = tmp_path / "o"
+        code = main(["train", "--corpus", str(corpus_dir), "--k", "2", "--seed", "0",
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Unable to allocate" in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--doc-tol", "--beta-smoothing", "--noise-scale"])
@@ -493,6 +520,25 @@ class TestEval:
         assert code == 3
         assert (out / "recovery.json").exists()
 
+    def test_manifest_counts_nonconverged_records(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(numerics, "NEWTON_MAX_ITERS", 1)
+        models = []
+
+        def train(*args, **kwargs):
+            models.append(learning.train(*args, **kwargs))
+            return models[-1]
+
+        monkeypatch.setattr(cli, "train", train)
+        out = tmp_path / "e"
+        code = main(
+            ["eval", "--scenario", str(self.scenario_file(tmp_path)), "--seed", "4",
+             "--max-em-iters", "2", "--tv-threshold", "0", "--out", str(out)]
+        )
+        assert code == 3
+        expected = sum(not post.converged for post in models[0].doc_posteriors)
+        assert expected > 0
+        assert json.loads((out / "manifest.json").read_text())["nonconverged_records"] == expected
+
     def test_preset_or_scenario_required(self, tmp_path):
         assert main(["eval", "--seed", "1", "--out", str(tmp_path / "e")]) == 1
 
@@ -530,9 +576,14 @@ class TestEval:
              b' "bogus": 1}', 1),
             (b'{"name": "x", "K": 2, "M": 1, "vocab_size": 6, "D": 3, "tokens_per_type": 4,'
              b' "sigma0_pairs": [[0, 1]]}', 1),
+            (b'{"name": "x", "K": 1, "M": 1, "vocab_size": 6, "D": 3, "tokens_per_type": 4}', 1),
+            (b'{"name": "x", "K": 2, "M": 1, "vocab_size": 6, "D": 3, "tokens_per_type": 4,'
+             b' "sigma0_pairs": [[0, 1, 2.0]]}', 1),
+            (b'{"name": "x", "K": 2, "M": 1, "vocab_size": 6, "D": 3, "tokens_per_type": 1'
+             + b"0" * 30 + b"}", 1),
         ],
         ids=["not-utf8", "huge-int", "list", "truncated", "float-K", "missing-K", "unknown-key",
-             "short-pair"],
+             "short-pair", "one-phenotype", "sigma0-indefinite", "tokens-past-max-count"],
     )
     def test_malformed_scenario_exits_without_traceback(
         self, tmp_path, capsys, content, expected
@@ -828,10 +879,13 @@ class TestConfigProperty:
         ("eval", ["--preset", "nope", "--seed", "1"], 1),
         ("coverage", ["--model", "{model}", "--corpus", "{corpus}"], 0),
         ("coverage", ["--model", "{model}", "--corpus", "{other}"], 4),
+        ("phenotypes", ["--model", "{model}", "--label-type", "dx", "--corr-threshold", "1.5"], 1),
+        ("phenotypes", ["--model", "{model}", "--label-type", "dx", "--top-n", "0"], 1),
+        ("summarize", ["--model", "{model}", "--record-file", "{records}", "--top-n", "0"], 1),
     ],
 )
 def test_manifest_is_written_exactly_on_exit_0_and_3(
-    trained, corpus_dir, tmp_path, command, flags, expected
+    trained, corpus_dir, tmp_path, capsys, command, flags, expected
 ):
     paths = {
         "corpus": corpus_dir,
@@ -849,6 +903,7 @@ def test_manifest_is_written_exactly_on_exit_0_and_3(
     out = tmp_path / "out"
     argv = [command, *(flag.format(**paths) for flag in flags), "--out", str(out)]
     assert main(argv) == expected
+    assert "Traceback" not in capsys.readouterr().err
     if expected in (0, 3):
         assert json.loads((out / "manifest.json").read_text())["command"] == command
     else:
@@ -867,6 +922,27 @@ class TestCoverage:
             rows = list(csv.DictReader(fh))
         assert [r["bucket"] for r in rows] == ["1-5", "6-20", "21+"]
         assert sum(float(r["fraction"]) for r in rows) == pytest.approx(1.0, abs=1e-12)
+
+    def test_manifest_counts_nonconverged_records(
+        self, trained, corpus_dir, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(numerics, "NEWTON_MAX_ITERS", 1)
+        models = []
+
+        def attach(*args, **kwargs):
+            models.append(learning.attach_posteriors(*args, **kwargs))
+            return models[-1]
+
+        monkeypatch.setattr(cli, "attach_posteriors", attach)
+        out = tmp_path / "cov"
+        code = main(
+            ["coverage", "--model", str(trained / "model.json"),
+             "--corpus", str(corpus_dir), "--out", str(out)]
+        )
+        assert code == 0
+        expected = sum(not post.converged for post in models[0].doc_posteriors)
+        assert expected > 0
+        assert json.loads((out / "manifest.json").read_text())["nonconverged_records"] == expected
 
     def test_mass_zero_is_argument_error(self, trained, corpus_dir, tmp_path):
         code = main(

@@ -1,6 +1,7 @@
 """Variational EM: initialization, M-step, training loop, model I/O."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -85,6 +86,13 @@ class TestTrainConfig:
 
     def test_em_tol_zero_allowed(self):
         assert TrainConfig(K=2, em_tol=0.0).em_tol == 0.0
+
+    def test_k_whose_prior_numpy_cannot_hold_rejected(self):
+        largest = math.isqrt(np.iinfo(np.intp).max // 8)  # K x K float64 bytes fit an intp
+        assert TrainConfig(K=largest).K == largest
+        for k in (largest + 1, 10**30):
+            with pytest.raises(ValueError, match="K="):
+                TrainConfig(K=k)
 
 
 class TestInitialize:

@@ -317,6 +317,35 @@ class TestMaximizeConcave:
         assert result.point is objective.points[3]
         np.testing.assert_array_equal(result.point.x, result.x)
 
+    def test_converging_on_the_last_allowed_step_is_converged(self, monkeypatch):
+        monkeypatch.setattr(numerics, "NEWTON_MAX_ITERS", 1)
+        a = np.array([2.0, -1.0, 0.5])
+        objective = CountingObjective(
+            lambda x: -0.5 * float((x - a) @ (x - a)), lambda x: a - x, lambda x: -np.eye(3)
+        )
+        result = maximize_concave(objective.evaluate, np.zeros(3))
+        assert result.status == "converged" and result.converged
+        assert result.iterations == numerics.NEWTON_MAX_ITERS
+        assert result.step_norm == 0.0
+        assert objective.gradient_reads == [0, 1]
+        assert objective.hessian_reads == [0]  # no step is computed at the optimum
+        np.testing.assert_array_equal(result.x, a)
+
+    def test_line_search_failure_counts_the_failed_attempt(self):
+        # the gradient claims a rise to the right everywhere, so the step from
+        # the maximizer x = 1 of -(x - 1)^2 finds no higher point at any length
+        objective = CountingObjective(
+            lambda x: -float((x[0] - 1.0) ** 2), lambda x: np.ones(1), lambda x: -np.eye(1)
+        )
+        result = maximize_concave(objective.evaluate, np.zeros(1))
+        assert result.status == "line_search_failure" and not result.converged
+        assert result.iterations == 2  # the accepted step and the failed attempt
+        np.testing.assert_array_equal(result.x, [1.0])
+        assert result.point is objective.points[1]
+        assert result.step_norm == 1.0  # the step left at x
+        assert objective.gradient_reads == [0, 1]
+        assert objective.hessian_reads == [0, 1]
+
     def test_max_iters_returns_best_iterate_with_flag(self, monkeypatch):
         monkeypatch.setattr(numerics, "NEWTON_MAX_ITERS", 1)
         monkeypatch.setattr(numerics, "NEWTON_GRAD_TOL", 1e-300)

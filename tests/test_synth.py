@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from phenotopics.corpus import MAX_COUNT
 from phenotopics.learning import TrainConfig, TrainedModel, vocab_fingerprint
 from phenotopics.synth import (
     PRESETS,
@@ -251,12 +252,14 @@ class TestScenarios:
             dict(sigma0_pairs=((0.0, 1, 0.5),)),
             dict(sigma0_pairs=((0, 1, None),)),
             dict(sigma0_pairs=[(0, 1, 0.5)]),
+            dict(tokens_per_type=MAX_COUNT + 1),
         ):
             fields = dict(name="bad", K=3, M=1, vocab_size=12, D=4, tokens_per_type=6)
             fields.update(bad)
             with pytest.raises(ValueError):
                 Scenario(**fields)
         Scenario(name="one", K=3, M=1, vocab_size=3, D=1, tokens_per_type=1)  # valid
+        Scenario(name="most", K=3, M=1, vocab_size=3, D=1, tokens_per_type=MAX_COUNT)  # valid
 
     def test_sample_scenario_shapes(self):
         scenario = Scenario(
