@@ -6,18 +6,20 @@ them), 2 I/O or parse failure (an unreadable file, a ``CorpusError`` or a
 incompatibility (a ``FingerprintError``); :func:`main` maps each error to its
 code in one place. Diagnostics go to stderr; data goes to files. A run that
 exits 0 or 3 writes a ``manifest.json`` next to its outputs echoing the
-command, arguments, seed, and convergence flags (for train, eval and coverage
-also ``nonconverged_records``, the records whose inference did not converge);
+command, arguments, seed, and convergence flags (for train, eval, coverage and
+summarize also ``nonconverged_records``, the records or segments whose
+inference did not converge);
 rerunning with the same inputs reproduces the primary outputs byte for byte
 (the manifest's wall time is the only timestamp anywhere).
 
 All randomness flows through --seed. The E-step thread count comes from
 --threads, the PHENOTOPICS_THREADS environment variable, or is 1, in that
-order; it never changes results, only wall time. ``--config file.json``
-supplies defaults for any flag of the invoked subcommand; explicit flags win.
-Each value must have the JSON type its flag takes (an integer, a number, a
-string, or true/false for a switch): a wrong type exits 1, a file that does
-not parse exits 2.
+order; :func:`main` checks it once for every command, so a count below 1 exits
+1 wherever it is given. It never changes results, only wall time.
+``--config file.json`` supplies defaults for any flag of the invoked
+subcommand; explicit flags win. Each value must have the JSON type its flag
+takes (an integer, a number or a string): a wrong type exits 1, a file that
+does not parse exits 2.
 """
 
 from __future__ import annotations
@@ -127,20 +129,18 @@ def _ensure_out(path):
     return path
 
 
-def cmd_train(args) -> tuple:
-    _require(args, "corpus", "k", "seed")
-    corpus = load_corpus(args.corpus)
+def _train_config(args, k) -> TrainConfig:
+    """``train``'s and ``eval``'s training settings; a value TrainConfig rejects exits 1."""
     try:
-        cfg = TrainConfig(
-            K=args.k,
-            seed=args.seed,
-            max_em_iters=args.max_em_iters,
-            em_tol=args.em_tol,
-            update_prior=not args.freeze_prior,
-        )
+        return TrainConfig(K=k, seed=args.seed, max_em_iters=args.max_em_iters, em_tol=args.em_tol)
     except ValueError as exc:
         raise _CliError(EXIT_ARGS, str(exc))
-    threads = _default_threads(args.threads)
+
+
+def cmd_train(args, threads) -> tuple:
+    _require(args, "corpus", "k", "seed")
+    corpus = load_corpus(args.corpus)
+    cfg = _train_config(args, args.k)
     _log(f"training K={cfg.K} on {corpus.num_records} records ({threads} threads)")
     model = train(corpus, cfg, threads=threads)
 
@@ -167,7 +167,7 @@ def cmd_train(args) -> tuple:
     return code, {"model": model_path, "history": history_path}, extra
 
 
-def cmd_phenotypes(args) -> tuple:
+def cmd_phenotypes(args, threads) -> tuple:
     _require(args, "model", "label_type")
     if not 0.0 <= args.corr_threshold <= 1.0:
         raise _CliError(EXIT_ARGS, "--corr-threshold must lie in [0, 1]")
@@ -192,7 +192,7 @@ def cmd_phenotypes(args) -> tuple:
     return EXIT_OK, outputs, {"num_edges": len(graph.edges)}
 
 
-def cmd_summarize(args) -> tuple:
+def cmd_summarize(args, threads) -> tuple:
     _require(args, "model", "record_file")
     if args.top_n < 1:
         raise _CliError(EXIT_ARGS, "--top-n must be >= 1")
@@ -205,8 +205,10 @@ def cmd_summarize(args) -> tuple:
 
     out = _ensure_out(args.out)
     outputs = {}
+    nonconverged = 0
     for record_id, segments in by_record.items():
         trajectory = summarize_record(segments, model, top_n=args.top_n)
+        nonconverged += trajectory.nonconverged_segments
         # ids may hold any character; the encoding keeps [A-Za-z0-9_.~-] and
         # is injective, so names stay distinct and inside --out
         name = urllib.parse.quote(record_id, safe="")
@@ -219,10 +221,10 @@ def cmd_summarize(args) -> tuple:
             f"record {record_id}: {len(trajectory.bins)} bins, "
             f"top phenotypes {trajectory.selected}"
         )
-    return EXIT_OK, outputs, {}
+    return EXIT_OK, outputs, {"nonconverged_records": nonconverged}
 
 
-def cmd_eval(args) -> tuple:
+def cmd_eval(args, threads) -> tuple:
     _require(args, "seed")
     if not 0.0 <= args.tv_threshold <= 1.0:
         raise _CliError(EXIT_ARGS, "--tv-threshold must lie in [0, 1]")
@@ -242,13 +244,7 @@ def cmd_eval(args) -> tuple:
             raise _CliError(EXIT_ARGS, f"invalid scenario: {exc}")
     else:
         raise _CliError(EXIT_ARGS, "provide --preset or --scenario")
-    try:
-        cfg = TrainConfig(
-            K=scenario.K, seed=args.seed, max_em_iters=args.max_em_iters, em_tol=args.em_tol
-        )
-    except ValueError as exc:
-        raise _CliError(EXIT_ARGS, str(exc))
-    threads = _default_threads(args.threads)
+    cfg = _train_config(args, scenario.K)
     _log(f"sampling scenario {scenario.name!r} (D={scenario.D}) with seed {args.seed}")
     try:
         corpus, planted = sample_scenario(scenario, seed=args.seed)
@@ -285,13 +281,12 @@ def cmd_eval(args) -> tuple:
     return code, {"report": report_path}, extra
 
 
-def cmd_coverage(args) -> tuple:
+def cmd_coverage(args, threads) -> tuple:
     _require(args, "model", "corpus")
     if not 0.0 < args.mass <= 1.0:
         raise _CliError(EXIT_ARGS, "--mass must lie in (0, 1]")
     model = load_model(args.model)
     corpus = load_corpus(args.corpus)
-    threads = _default_threads(args.threads)
     model = attach_posteriors(model, corpus, threads=threads)
     fractions = coverage_histogram(model, mass=args.mass)
 
@@ -325,10 +320,8 @@ def build_parser():
     p.add_argument("--corpus", help="corpus directory")
     p.add_argument("--k", type=int, help="number of phenotypes")
     p.add_argument("--seed", type=int)
-    p.add_argument("--max-em-iters", type=int, default=100)
-    p.add_argument("--em-tol", type=float, default=1e-5)
-    p.add_argument("--freeze-prior", action="store_true",
-                   help="keep mu0/sigma0 at initialization")
+    p.add_argument("--max-em-iters", type=int, default=TrainConfig.max_em_iters)
+    p.add_argument("--em-tol", type=float, default=TrainConfig.em_tol)
     p.set_defaults(func=cmd_train)
     commands["train"] = p
 
@@ -354,7 +347,7 @@ def build_parser():
     p.add_argument("--scenario", help="scenario JSON file")
     p.add_argument("--seed", type=int)
     p.add_argument("--max-em-iters", type=int, default=200)
-    p.add_argument("--em-tol", type=float, default=1e-5)
+    p.add_argument("--em-tol", type=float, default=TrainConfig.em_tol)
     p.add_argument("--tv-threshold", type=float, default=0.1)
     p.add_argument("--corr-threshold", type=float, default=0.5)
     p.set_defaults(func=cmd_eval)
@@ -369,14 +362,6 @@ def build_parser():
     commands["coverage"] = p
 
     return parser, commands
-
-
-def _config_value_fits(action, value) -> bool:
-    """Whether a --config value has the JSON type its flag takes on the command line."""
-    if action.nargs == 0:  # --freeze-prior and other switches
-        return type(value) is bool
-    # exact types: bool subclasses int but is not a number here
-    return type(value) in {int: (int,), float: (int, float)}.get(action.type, (str,))
 
 
 def _apply_config_file(commands, argv):
@@ -395,14 +380,17 @@ def _apply_config_file(commands, argv):
     if not isinstance(defaults, dict):
         raise _CliError(EXIT_IO, "config file must hold a JSON object of flag defaults")
     target = commands[known.command]
-    actions = {action.dest: action for action in target._actions}  # noqa: SLF001
+    # every key names a flag that takes a value; --help takes none
+    actions = {a.dest: a for a in target._actions if a.dest != "help"}  # noqa: SLF001
     unknown = sorted(set(defaults) - set(actions))
     if unknown:
         raise _CliError(
             EXIT_ARGS, f"config keys not recognized for {known.command!r}: {unknown}"
         )
     for key, value in defaults.items():
-        if not _config_value_fits(actions[key], value):
+        # the JSON type the flag takes on the command line, exactly: bool
+        # subclasses int but is not a number here
+        if type(value) not in {int: (int,), float: (int, float)}.get(actions[key].type, (str,)):
             raise _CliError(EXIT_ARGS, f"config value for {key!r} has the wrong type: {value!r}")
     target.set_defaults(**defaults)
 
@@ -410,9 +398,10 @@ def _apply_config_file(commands, argv):
 def main(argv=None) -> int:
     """Parse ``argv``, run its subcommand and return the exit code.
 
-    Each ``cmd_*`` returns ``(exit_code, outputs, extra)`` with code 0 or 3,
-    and only then is the manifest written; every other code comes from an
-    exception mapped below.
+    The thread count is resolved here, once, for every command. Each
+    ``cmd_*`` takes the parsed args and that count and returns
+    ``(exit_code, outputs, extra)`` with code 0 or 3, and only then is the
+    manifest written; every other code comes from an exception mapped below.
     """
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = build_parser()
@@ -422,8 +411,9 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return EXIT_ARGS if exc.code not in (0, None) else 0
+        threads = _default_threads(args.threads)
         started = time.monotonic()
-        code, outputs, extra = args.func(args)
+        code, outputs, extra = args.func(args, threads)
         _write_manifest(args, outputs, started, extra)
         return code
     except _CliError as exc:

@@ -5,9 +5,9 @@ record (optionally across a thread pool; results are combined in record order
 so thread count never changes the output); each posterior carries its
 record's variational objective, and the EM objective is their sum. The M-step
 re-estimates the topic matrices from count-weighted responsibilities,
-recomputed per record at its mode, and, by default, moment-matches the
-Gaussian prior to the per-record posteriors. Model files are versioned JSON
-carrying every float at full binary64 precision.
+recomputed per record at its mode, and moment-matches the Gaussian prior to
+the per-record posteriors. Model files are versioned JSON carrying every float
+at full binary64 precision.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ BETA_SMOOTHING = 1e-8
 # Initial topic rows get uniform noise in [0, INIT_NOISE / V_m] to start apart.
 INIT_NOISE = 1.0
 # Retired TrainConfig fields that older model files still carry.
-_RETIRED_CONFIG_KEYS = ("doc_max_outer", "beta_smoothing", "noise_scale", "doc_tol")
+_RETIRED_CONFIG_KEYS = ("doc_max_outer", "beta_smoothing", "noise_scale", "doc_tol", "update_prior")
 
 
 class ModelFormatError(ValueError):
@@ -50,7 +50,6 @@ class TrainConfig:
     seed: int = 0
     max_em_iters: int = 100
     em_tol: float = 1e-5
-    update_prior: bool = True
 
     def __post_init__(self):
         # exact types: a model file's config echo reaches here unchecked, and
@@ -59,8 +58,6 @@ class TrainConfig:
             value = getattr(self, name)
             if type(value) is not int:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if type(self.update_prior) is not bool:
-            raise ValueError(f"update_prior must be true or false, got {self.update_prior!r}")
         if isinstance(self.em_tol, bool) or not isinstance(self.em_tol, (int, float)):
             raise ValueError(f"em_tol must be a number, got {self.em_tol!r}")
         if self.K < 2:
@@ -124,12 +121,7 @@ def initialize(corpus: Corpus, cfg: TrainConfig) -> ModelParams:
     return ModelParams.create(np.zeros(k), np.eye(k), log_beta)
 
 
-def m_step(
-    corpus: Corpus,
-    posteriors,
-    cfg: TrainConfig,
-    current: ModelParams,
-) -> ModelParams:
+def m_step(corpus: Corpus, posteriors, current: ModelParams) -> ModelParams:
     """Closed-form maximizers of the expected complete-data log likelihood.
 
     ``posteriors`` were inferred under ``current``. beta rows accumulate
@@ -138,12 +130,11 @@ def m_step(
     E-step's own :class:`ModeObjective` pass, so no per-token array outlives
     a record's inference. mu0/sigma0 moment-match the per-record
     Gaussian posteriors (mean of modes; mean of covariances plus mode
-    scatter). With ``cfg.update_prior`` false the prior is copied from
-    ``current`` instead.
+    scatter).
     """
     if len(posteriors) != corpus.num_records:
         raise ValueError("need exactly one posterior per record")
-    k = cfg.K
+    k = current.num_phenotypes
 
     beta_acc = [np.full((k, vocab.size), BETA_SMOOTHING) for vocab in corpus.vocabularies]
     for rec, post in zip(corpus.records, posteriors):
@@ -155,23 +146,20 @@ def m_step(
                 beta_acc[m][:, idx] += resp[m] * cnt
     log_beta = [np.log(acc / acc.sum(axis=1, keepdims=True)) for acc in beta_acc]
 
-    if cfg.update_prior:
-        modes = np.stack([post.nu_hat for post in posteriors])
-        mu0 = modes.mean(axis=0)
-        centered = modes - mu0
-        sigma0 = sum(post.nu_cov for post in posteriors) / len(posteriors)
-        sigma0 += centered.T @ centered / len(posteriors)
-        sigma0 = 0.5 * (sigma0 + sigma0.T)
-        _, ridge = ridged_cholesky(sigma0)
-        if ridge:
-            warnings.warn(
-                f"estimated prior covariance lost definiteness; repaired with ridge {ridge:g}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            sigma0 += ridge * np.eye(k)
-    else:
-        mu0, sigma0 = current.mu0, current.sigma0
+    modes = np.stack([post.nu_hat for post in posteriors])
+    mu0 = modes.mean(axis=0)
+    centered = modes - mu0
+    sigma0 = sum(post.nu_cov for post in posteriors) / len(posteriors)
+    sigma0 += centered.T @ centered / len(posteriors)
+    sigma0 = 0.5 * (sigma0 + sigma0.T)
+    _, ridge = ridged_cholesky(sigma0)
+    if ridge:
+        warnings.warn(
+            f"estimated prior covariance lost definiteness; repaired with ridge {ridge:g}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        sigma0 += ridge * np.eye(k)
 
     return ModelParams.create(mu0, sigma0, log_beta)
 
@@ -215,7 +203,7 @@ def train(corpus: Corpus, cfg: TrainConfig, threads: int = 1) -> TrainedModel:
             converged = True
             break
         prev_obj = obj
-        params = m_step(corpus, posteriors, cfg, current=params)
+        params = m_step(corpus, posteriors, params)
 
     return TrainedModel(
         params=params,

@@ -82,8 +82,14 @@ def covariance_to_correlation(sigma) -> np.ndarray:
     if ridge:
         raise ValueError("covariance is not positive definite")
     d = np.diag(sigma)
-    with np.errstate(over="ignore"):  # d_i d_j past the float max gives 0; the diagonal is reset
-        corr = sigma / np.sqrt(np.outer(d, d))
+    with np.errstate(over="ignore", under="ignore"):
+        scale = np.sqrt(np.outer(d, d))
+    # d_i d_j overflows past about 1e154 each and underflows below 1e-154;
+    # the product of the roots does neither, but differs from the root of the
+    # product in the last bit, so it stands in only where the latter failed
+    root = np.sqrt(d)
+    scale = np.where(np.isfinite(scale) & (scale > 0), scale, np.outer(root, root))
+    corr = sigma / scale
     # exactly symmetric, with an exact unit diagonal
     corr = 0.5 * (corr + corr.T)
     np.fill_diagonal(corr, 1.0)

@@ -62,7 +62,8 @@ class SummaryTrajectory:
     """Salience of the selected phenotypes across ordered time bins.
 
     ``salience[b][s]`` is the posterior proportion of ``selected[s]`` in bin b;
-    ``residual[b]`` is the proportion mass outside the selected set.
+    ``residual[b]`` is the proportion mass outside the selected set, and
+    ``nonconverged_segments`` counts the bins whose posterior did not converge.
     """
 
     record_id: str
@@ -70,6 +71,7 @@ class SummaryTrajectory:
     selected: list
     salience: np.ndarray  # (num_bins, len(selected))
     residual: np.ndarray  # (num_bins,)
+    nonconverged_segments: int
 
 
 def summarize_record(segments, model: TrainedModel, top_n: int = 5) -> SummaryTrajectory:
@@ -90,10 +92,12 @@ def summarize_record(segments, model: TrainedModel, top_n: int = 5) -> SummaryTr
 
     proportions = []
     bins = []
+    nonconverged = 0
     for pos, seg in enumerate(segments):
         post = infer_document(seg, model.params)
         proportions.append(post.proportions)
         bins.append(seg.time_bin if seg.time_bin is not None else str(pos))
+        nonconverged += not post.converged
     proportions = np.stack(proportions)
 
     top_n = min(top_n, model.params.num_phenotypes)
@@ -109,6 +113,7 @@ def summarize_record(segments, model: TrainedModel, top_n: int = 5) -> SummaryTr
         selected=selected,
         salience=salience,
         residual=residual,
+        nonconverged_segments=nonconverged,
     )
 
 

@@ -127,21 +127,21 @@ class Scenario:
         return _synthetic_vocabularies([self.vocab_size] * self.M)
 
     def build_truth(self) -> ModelParams:
+        """Every type gets the same K x V block topics, built once and shared,
+        so the first step whose size grows with M is one list of M references
+        (an M past memory raises MemoryError there, at once)."""
         k, v = self.K, self.vocab_size
         width = v // k + self.block_overlap
-        log_beta = []
-        for _ in range(self.M):
-            rows = np.full((k, v), (1.0 - self.block_mass) / v)
-            for i in range(k):
-                start = i * (v // k)
-                block = np.arange(start, start + width) % v
-                rows[i, block] += self.block_mass / width
-            rows /= rows.sum(axis=1, keepdims=True)
-            log_beta.append(np.log(rows))
+        rows = np.full((k, v), (1.0 - self.block_mass) / v)
+        for i in range(k):
+            start = i * (v // k)
+            block = np.arange(start, start + width) % v
+            rows[i, block] += self.block_mass / width
+        rows /= rows.sum(axis=1, keepdims=True)
         sigma0 = np.eye(k)
         for i, j, rho in self.sigma0_pairs:
             sigma0[i, j] = sigma0[j, i] = rho
-        return ModelParams.create(np.zeros(k), sigma0, log_beta)
+        return ModelParams.create(np.zeros(k), sigma0, [np.log(rows)] * self.M)
 
 
 PRESETS = {

@@ -192,7 +192,7 @@ def test_criterion_06_normalization_and_conservation():
                     abs(float(post.expected_counts[m].sum()) - sum(bag.values())),
                 )
         warm = [p.nu_hat for p in posts]
-        params = m_step(corpus, posts, cfg, current=params)
+        params = m_step(corpus, posts, current=params)
         for lb in params.log_beta:
             worst_row = max(worst_row, float(np.abs(np.exp(lb).sum(axis=1) - 1.0).max()))
         try:

@@ -6,6 +6,8 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from types import SimpleNamespace
 
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phenotopics import cli, learning, numerics
+from phenotopics import cli, learning, numerics, summarize, variational
 from phenotopics.cli import main
 from phenotopics.corpus import save_corpus
 from phenotopics.learning import vocab_fingerprint
@@ -156,7 +158,7 @@ class TestTrain:
         cfg = tmp_path / "cfg.json"
         # an integer is a valid number for a float flag such as --em-tol
         cfg.write_text(json.dumps(
-            {"k": 2, "seed": 5, "max_em_iters": 3, "em_tol": 0, "freeze_prior": False}
+            {"k": 2, "seed": 5, "max_em_iters": 3, "em_tol": 0}
         ))
         out = tmp_path / "o"
         code = main(
@@ -180,11 +182,11 @@ class TestTrain:
         [
             ("phenotypes", '{"top_n": null}', 1),
             ("train", '{"k": 2.5}', 1),
-            ("train", '{"freeze_prior": 1}', 1),
+            ("train", '{"help": true}', 1),
             ("train", '{"max_em_iters": ' + "9" * 5000 + "}", 2),
             ("train", b"\xff\xfe{}", 2),
         ],
-        ids=["null-int", "float-for-int", "int-for-switch", "huge-int", "not-utf8"],
+        ids=["null-int", "float-for-int", "help-key", "huge-int", "not-utf8"],
     )
     def test_bad_config_value_exits_without_traceback(
         self, trained, corpus_dir, tmp_path, capsys, command, text, expected
@@ -244,7 +246,9 @@ class TestTrain:
         assert "Unable to allocate" in err and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag", ["--doc-tol", "--beta-smoothing", "--noise-scale"])
+    @pytest.mark.parametrize(
+        "flag", ["--doc-tol", "--beta-smoothing", "--noise-scale", "--freeze-prior"]
+    )
     def test_retired_training_flags_are_argument_errors(self, corpus_dir, tmp_path, flag):
         code = main(
             ["train", "--corpus", str(corpus_dir), "--k", "2", "--seed", "0",
@@ -346,6 +350,22 @@ class TestPhenotypes:
         )
         assert code == 2
 
+    def test_tiny_prior_variances_give_valid_json_edges(self, trained, tmp_path):
+        # d_i d_j underflows to 0 here, which once wrote "rho": Infinity
+        payload = json.loads((trained / "model.json").read_text())
+        payload["sigma0"] = [1e-200, 6e-201, 6e-201, 1e-200]
+        model = tmp_path / "tiny.json"
+        model.write_text(json.dumps(payload))
+        out = tmp_path / "p"
+        assert main(["phenotypes", "--model", str(model), "--label-type", "dx",
+                     "--out", str(out)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        graph = json.loads((out / "relatedness.json").read_text(), parse_constant=reject)
+        assert [edge["rho"] for edge in graph["edges"]] == [pytest.approx(0.6, abs=1e-15)]
+
     @pytest.mark.parametrize(
         "corrupt, expected",
         [
@@ -367,7 +387,6 @@ class TestPhenotypes:
             (lambda p: p["vocabularies"].update(dx=[]), 2),
             (lambda p: p["config"].update(seed="abc"), 2),
             (lambda p: p["config"].update(seed=-1), 2),
-            (lambda p: p["config"].update(update_prior="no"), 2),
             (lambda p: p["config"].update(max_em_iters=1.5), 2),
             (lambda p: p["config"].update(em_tol=True), 2),
             (lambda p: _set_dx_tokens(p, [1, 2, 3, 4, 5, 6]), 2),
@@ -378,7 +397,7 @@ class TestPhenotypes:
              "vocabularies-list", "history-int", "fingerprint-int", "fractional-K",
              "config-K-differs", "M-differs", "history-string", "converged-string",
              "mu0-scalar", "empty-vocabulary", "config-seed-string", "config-seed-negative",
-             "config-update-prior-string", "config-max-em-iters-fractional",
+             "config-max-em-iters-fractional",
              "config-em-tol-bool", "tokens-ints", "tokens-mixed", "tokens-string"],
     )
     def test_model_that_is_not_a_model_exits_without_traceback(
@@ -460,9 +479,12 @@ class TestSummarize:
     ):
         # model files written while these were TrainConfig fields carry them
         payload = json.loads((trained / "model.json").read_text())
-        assert set(payload["config"]).isdisjoint({"beta_smoothing", "noise_scale", "doc_tol"})
+        assert set(payload["config"]).isdisjoint(
+            {"beta_smoothing", "noise_scale", "doc_tol", "update_prior"}
+        )
         payload["config"].update(
-            beta_smoothing=1e-8, noise_scale=1.0, doc_tol=1e-4, doc_max_outer=100
+            beta_smoothing=1e-8, noise_scale=1.0, doc_tol=1e-4, doc_max_outer=100,
+            update_prior=True,
         )
         old = tmp_path / "old_model.json"
         old.write_text(json.dumps(payload))
@@ -479,6 +501,28 @@ class TestSummarize:
             outs.append(out)
         for name in ("trajectory_p1.csv", "sankey_p1.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_manifest_counts_nonconverged_segments(self, trained, tmp_path, monkeypatch):
+        monkeypatch.setattr(numerics, "NEWTON_MAX_ITERS", 1)
+        posteriors = []
+
+        def infer_document(*args, **kwargs):
+            posteriors.append(variational.infer_document(*args, **kwargs))
+            return posteriors[-1]
+
+        monkeypatch.setattr(summarize, "infer_document", infer_document)
+        record_file = self.write_segments(
+            tmp_path,
+            [{"id": rid, "time_bin": f"y{i}", "bags": {"dx": {"w0": 3 + i, "w4": 5 - i}}}
+             for rid in ("p1", "p2") for i in range(3)],
+        )
+        out = tmp_path / "sum"
+        assert main(["summarize", "--model", str(trained / "model.json"),
+                     "--record-file", str(record_file), "--out", str(out)]) == 0
+        assert len(posteriors) == 6
+        expected = sum(not post.converged for post in posteriors)
+        assert expected > 0
+        assert json.loads((out / "manifest.json").read_text())["nonconverged_records"] == expected
 
     def test_empty_record_file_is_io_error(self, trained, tmp_path):
         record_file = tmp_path / "empty.jsonl"
@@ -538,6 +582,31 @@ class TestEval:
         expected = sum(not post.converged for post in models[0].doc_posteriors)
         assert expected > 0
         assert json.loads((out / "manifest.json").read_text())["nonconverged_records"] == expected
+
+    def test_scenario_with_a_trillion_types_exits_1_at_once(self, tmp_path):
+        # build_truth's first M-sized step asks for 8 TB at once. The child's
+        # address-space cap makes the kernel refuse that request before any
+        # page is touched, whatever the machine's overcommit policy.
+        pytest.importorskip("resource")
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(dict(TINY_SCENARIO, M=10**12)))
+        out = tmp_path / "e"
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        child = (
+            "import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30)); "
+            f"sys.path.insert(0, {src!r}); "
+            "from phenotopics.cli import main; sys.exit(main())"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "eval", "--scenario", str(path), "--seed", "1",
+             "--out", str(out)],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
+        )
+        assert proc.returncode == 1
+        assert "out of memory" in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
 
     def test_preset_or_scenario_required(self, tmp_path):
         assert main(["eval", "--seed", "1", "--out", str(tmp_path / "e")]) == 1
@@ -822,7 +891,7 @@ def _valid_configs(inputs):
     """One valid --config object per subcommand, naming ``valid_inputs``' files."""
     return {
         "train": {"corpus": inputs["corpus_path"], "k": 2, "seed": 1, "max_em_iters": 1,
-                  "em_tol": 1e-5, "freeze_prior": False},
+                  "em_tol": 1e-5},
         "phenotypes": {"model": inputs["model_path"], "label_type": "dx", "top_n": 3,
                        "corr_threshold": 0.5},
         "summarize": {"model": inputs["model_path"], "record_file": inputs["segments_path"],
@@ -908,6 +977,36 @@ def test_manifest_is_written_exactly_on_exit_0_and_3(
         assert json.loads((out / "manifest.json").read_text())["command"] == command
     else:
         assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "phenotypes", "summarize", "eval", "coverage"])
+@pytest.mark.parametrize(
+    "flag, env", [("0", None), ("-2", None), (None, "lots")], ids=["zero", "negative", "env-lots"]
+)
+def test_bad_thread_count_is_argument_error_for_every_command(
+    trained, corpus_dir, tmp_path, capsys, monkeypatch, command, flag, env
+):
+    records = tmp_path / "records.jsonl"
+    records.write_text(json.dumps({"id": "p1", "bags": {"dx": {"w0": 2}}}) + "\n")
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(TINY_SCENARIO))
+    model = str(trained / "model.json")
+    argv = {
+        "train": ["--corpus", str(corpus_dir), "--k", "2", "--seed", "5", "--max-em-iters", "1"],
+        "phenotypes": ["--model", model, "--label-type", "dx"],
+        "summarize": ["--model", model, "--record-file", str(records)],
+        "eval": ["--scenario", str(scenario), "--seed", "1", "--max-em-iters", "1"],
+        "coverage": ["--model", model, "--corpus", str(corpus_dir)],
+    }[command]
+    if env is None:
+        monkeypatch.delenv("PHENOTOPICS_THREADS", raising=False)
+        argv = [*argv, "--threads", flag]
+    else:
+        monkeypatch.setenv("PHENOTOPICS_THREADS", env)
+    out = tmp_path / "out"
+    assert main([command, *argv, "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestCoverage:

@@ -136,6 +136,26 @@ class TestCorrelationGraph:
             correlation_graph(m1).correlation, correlation_graph(m2).correlation, atol=1e-12
         )
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_variances_keep_their_correlation(self, scale):
+        # d_i d_j overflows to inf at 1e200 and underflows to 0 at 1e-200
+        sigma = np.array([[1.0, 0.5], [0.5, 1.0]]) * scale
+        corr = covariance_to_correlation(sigma)
+        assert corr[0, 1] == corr[1, 0] == pytest.approx(0.5, abs=1e-15)
+        model = model_from(np.zeros(2), sigma, [np.eye(2) * 0.98 + 0.01], self.vocab(2))
+        assert [(i, j) for i, j, _ in correlation_graph(model, threshold=0.4).edges] == [(0, 1)]
+
+    def test_ordinary_covariances_normalize_bitwise_as_root_of_product(self, rng):
+        # the root of the product d_i d_j stays wherever it is finite and positive
+        for _ in range(300):
+            root = rng.normal(size=(8, 8)) * 10.0 ** rng.uniform(-3, 3, size=(8, 1))
+            sigma = root @ root.T + 1e-3 * np.eye(8)
+            d = np.diag(sigma)
+            expected = sigma / np.sqrt(np.outer(d, d))
+            expected = 0.5 * (expected + expected.T)
+            np.fill_diagonal(expected, 1.0)
+            assert np.array_equal(covariance_to_correlation(sigma), expected)
+
     @pytest.mark.parametrize(
         "sigma, match",
         [

@@ -185,6 +185,7 @@ class TestExportSankey:
             selected=[3, 1],
             salience=np.array([[0.5, 0.3], [0.0, 0.6]]),
             residual=np.array([0.2, 0.4]),
+            nonconverged_segments=0,
         )
 
     def test_structure_counts(self, tmp_path):

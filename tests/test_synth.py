@@ -223,6 +223,22 @@ class TestScenarios:
                 tv_min = min(tv_min, 0.5 * np.abs(beta[i] - beta[j]).sum())
         assert tv_min > 0.8
 
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_every_type_gets_the_block_rows_bitwise(self, name):
+        scenario = get_preset(name)
+        k, v = scenario.K, scenario.vocab_size
+        width = v // k + scenario.block_overlap
+        rows = np.full((k, v), (1.0 - scenario.block_mass) / v)
+        for i in range(k):
+            rows[i, np.arange(i * (v // k), i * (v // k) + width) % v] += (
+                scenario.block_mass / width
+            )
+        rows /= rows.sum(axis=1, keepdims=True)
+        params = scenario.build_truth()
+        assert params.num_types == scenario.M
+        for log_beta in params.log_beta:
+            assert np.array_equal(log_beta, np.log(rows))
+
     def test_correlated_blocks_prior(self):
         params = get_preset("correlated-blocks").build_truth()
         assert params.sigma0[0, 1] == pytest.approx(0.8)
