@@ -288,6 +288,10 @@ def load_model(path) -> TrainedModel:
             for v in vocabularies
         ]
         config = dict(payload["config"])
+        # while update_prior was a field it held true or false; no file held anything else
+        update_prior = config.get("update_prior", False)
+        if type(update_prior) is not bool:
+            raise ValueError(f"config update_prior must be true or false, got {update_prior!r}")
         for key in _RETIRED_CONFIG_KEYS:
             config.pop(key, None)
         config = TrainConfig(**config)

@@ -387,6 +387,7 @@ class TestPhenotypes:
             (lambda p: p["vocabularies"].update(dx=[]), 2),
             (lambda p: p["config"].update(seed="abc"), 2),
             (lambda p: p["config"].update(seed=-1), 2),
+            (lambda p: p["config"].update(update_prior="no"), 2),
             (lambda p: p["config"].update(max_em_iters=1.5), 2),
             (lambda p: p["config"].update(em_tol=True), 2),
             (lambda p: _set_dx_tokens(p, [1, 2, 3, 4, 5, 6]), 2),
@@ -397,7 +398,7 @@ class TestPhenotypes:
              "vocabularies-list", "history-int", "fingerprint-int", "fractional-K",
              "config-K-differs", "M-differs", "history-string", "converged-string",
              "mu0-scalar", "empty-vocabulary", "config-seed-string", "config-seed-negative",
-             "config-max-em-iters-fractional",
+             "config-update-prior-string", "config-max-em-iters-fractional",
              "config-em-tol-bool", "tokens-ints", "tokens-mixed", "tokens-string"],
     )
     def test_model_that_is_not_a_model_exits_without_traceback(

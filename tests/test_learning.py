@@ -338,15 +338,19 @@ class TestModelIO:
         save_model(model, path)
         payload = json.loads(path.read_text())
         assert payload["format_version"] == 1
-        # update_prior held true or false; a value of another type was rejected
-        # while it was a field, and is ignored now like the rest
-        for update_prior in (True, False, "no"):
+        # update_prior held true or false while it was a field, and either loads;
+        # another value is still rejected
+        for update_prior in (True, False):
             payload["config"].update(
                 doc_max_outer=100, beta_smoothing=1e-8, noise_scale=1.0, doc_tol=1e-4,
                 update_prior=update_prior,
             )
             path.write_text(json.dumps(payload))
             assert load_model(path).config == model.config
+        payload["config"]["update_prior"] = "no"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ModelFormatError, match="update_prior"):
+            load_model(path)
 
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "model.json"
