@@ -20,7 +20,7 @@ from .summarize import (
     summarize_record,
 )
 from .synth import PlantedModel, RecoveryReport, match_phenotypes, recovery_report, sample_corpus
-from .variational import DocPosterior, ModelParams, infer_document
+from .variational import DocPosterior, ModelParams, infer_block, infer_document
 
 __all__ = [
     "Corpus",
@@ -41,6 +41,7 @@ __all__ = [
     "coverage_histogram",
     "export_sankey",
     "extract_phenotypes",
+    "infer_block",
     "infer_document",
     "initialize",
     "load_corpus",

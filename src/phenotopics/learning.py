@@ -1,13 +1,16 @@
 """Variational EM over a corpus: E-step inference, M-step re-estimation, I/O.
 
-The E-step runs :func:`phenotopics.variational.infer_document` for every
-record (optionally across a thread pool; results are combined in record order
-so thread count never changes the output); each posterior carries its
-record's variational objective, and the EM objective is their sum. The M-step
-re-estimates the topic matrices from count-weighted responsibilities,
-recomputed per record at its mode, and moment-matches the Gaussian prior to
-the per-record posteriors. Model files are versioned JSON carrying every float
-at full binary64 precision.
+The E-step splits the records into consecutive blocks of at most
+``BLOCK_TOKENS`` distinct tokens and runs
+:func:`phenotopics.variational.infer_block` on each (optionally across a
+thread pool; the partition does not depend on the thread count, and results
+are combined in block order, so the thread count never changes the output).
+Each posterior carries its record's variational objective, and the EM
+objective is their sum. In training the E-step also sums the count-weighted
+responsibilities at every mode, from which the M-step re-estimates the topic
+matrices; the M-step moment-matches the Gaussian prior to the per-record
+posteriors. Model files are versioned JSON carrying every float at full
+binary64 precision.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from .corpus import Corpus, _parse_vocabularies
 from .numerics import ridged_cholesky
-from .variational import ModelParams, ModeObjective, infer_document
+from .variational import ModelParams, infer_block
 
 MODEL_FORMAT_VERSION = 1
 
@@ -121,30 +124,26 @@ def initialize(corpus: Corpus, cfg: TrainConfig) -> ModelParams:
     return ModelParams.create(np.zeros(k), np.eye(k), log_beta)
 
 
-def m_step(corpus: Corpus, posteriors, current: ModelParams) -> ModelParams:
+def m_step(posteriors, topic_counts, current: ModelParams) -> ModelParams:
     """Closed-form maximizers of the expected complete-data log likelihood.
 
-    ``posteriors`` were inferred under ``current``. beta rows accumulate
-    count-weighted responsibilities plus ``BETA_SMOOTHING``; each
-    record's q(z) columns are recomputed at its mode under ``current`` by the
-    E-step's own :class:`ModeObjective` pass, so no per-token array outlives
-    a record's inference. mu0/sigma0 moment-match the per-record
-    Gaussian posteriors (mean of modes; mean of covariances plus mode
-    scatter).
+    ``posteriors`` and ``topic_counts`` come from one E-step under
+    ``current``: ``topic_counts[m]`` is type m's (K, V_m) sum over records of
+    count-weighted responsibilities at the modes (see :func:`_e_step`). beta
+    rows normalize those counts plus ``BETA_SMOOTHING``. mu0/sigma0
+    moment-match the per-record Gaussian posteriors (mean of modes; mean of
+    covariances plus mode scatter).
     """
-    if len(posteriors) != corpus.num_records:
-        raise ValueError("need exactly one posterior per record")
+    if not posteriors:
+        raise ValueError("need at least one posterior")
+    if [c.shape for c in topic_counts] != [lb.shape for lb in current.log_beta]:
+        raise ValueError("need one (K, V_m) topic count matrix per type of the model")
     k = current.num_phenotypes
 
-    beta_acc = [np.full((k, vocab.size), BETA_SMOOTHING) for vocab in corpus.vocabularies]
-    for rec, post in zip(corpus.records, posteriors):
-        objective = ModeObjective(rec, current)
-        resp = objective.evaluate(post.nu_hat).responsibilities()
-        for m, (idx, cnt) in enumerate(zip(objective.indices, objective.counts)):
-            if idx.size:
-                # distinct indices within one record: fancy += is safe
-                beta_acc[m][:, idx] += resp[m] * cnt
-    log_beta = [np.log(acc / acc.sum(axis=1, keepdims=True)) for acc in beta_acc]
+    log_beta = []
+    for counts in topic_counts:
+        smoothed = counts + BETA_SMOOTHING
+        log_beta.append(np.log(smoothed / smoothed.sum(axis=1, keepdims=True)))
 
     modes = np.stack([post.nu_hat for post in posteriors])
     mu0 = modes.mean(axis=0)
@@ -164,18 +163,71 @@ def m_step(corpus: Corpus, posteriors, current: ModelParams) -> ModelParams:
     return ModelParams.create(mu0, sigma0, log_beta)
 
 
-def _e_step(corpus, params, warm_starts, threads):
-    def infer_one(pair):
-        rec, warm = pair
-        return infer_document(rec, params, nu_init=warm)
+# Most distinct tokens, summed over its records and types, that one E-step
+# block holds. It bounds the beta columns (K floats per token) a block
+# gathers: a K=50 block of about eight records holds 3 MB of them, and a
+# K=6 cohort of 15 records fits in one block. Larger blocks spread the
+# driver's per-iteration work over more records; a record with more tokens
+# is a block of its own.
+BLOCK_TOKENS = 8192
 
-    jobs = list(zip(corpus.records, warm_starts))
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            # map preserves submission order, so the combined result (and
-            # everything downstream) is independent of thread scheduling.
-            return list(pool.map(infer_one, jobs))
-    return [infer_one(job) for job in jobs]
+
+def _blocks(records) -> list:
+    """(start, stop) of consecutive runs of records, each within ``BLOCK_TOKENS``.
+
+    The partition depends on the records alone, never on the thread count.
+    """
+    bounds, start, size = [], 0, 0
+    for d, record in enumerate(records):
+        tokens = sum(len(bag) for bag in record.bags)
+        if d > start and size + tokens > BLOCK_TOKENS:
+            bounds.append((start, d))
+            start, size = d, 0
+        size += tokens
+    if start < len(records):
+        bounds.append((start, len(records)))
+    return bounds
+
+
+def _e_step(corpus, params, warm_starts, threads, topic_counts=False):
+    """Posteriors of every record, one :func:`infer_block` per block of records.
+
+    Threads map over the blocks of :func:`_blocks`, and results are combined
+    in block order, so the thread count never changes the output. With
+    ``topic_counts``, also returns each type's (K, V_m) sum over records of
+    q(z) times the token counts at the modes, for :func:`m_step`; otherwise
+    ``None`` in its place.
+    """
+
+    def infer(bounds):
+        start, stop = bounds
+        posteriors, mode = infer_block(corpus.records[start:stop], params, warm_starts[start:stop])
+        if not topic_counts:
+            return posteriors, ()
+        objective = mode.objective
+        weighted = [
+            [(idx, q * cnt) for idx, cnt, q in zip(
+                objective.indices[i], objective.counts[i], mode.responsibilities(i)
+            )]
+            for i in range(stop - start)
+        ]
+        return posteriors, weighted
+
+    posteriors = []
+    sums = [np.zeros_like(lb) for lb in params.log_beta] if topic_counts else None
+    blocks = _blocks(corpus.records)
+    with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
+        # map yields in submission order, so the combined result (and
+        # everything downstream) is independent of thread scheduling
+        for block_posteriors, weighted in (
+            pool.map(infer, blocks) if threads > 1 else map(infer, blocks)
+        ):
+            posteriors += block_posteriors
+            for record in weighted:
+                for m, (idx, counts) in enumerate(record):
+                    # distinct indices within one record: fancy += is safe
+                    sums[m][:, idx] += counts
+    return posteriors, sums
 
 
 def train(corpus: Corpus, cfg: TrainConfig, threads: int = 1) -> TrainedModel:
@@ -195,7 +247,7 @@ def train(corpus: Corpus, cfg: TrainConfig, threads: int = 1) -> TrainedModel:
     prev_obj = None
 
     for _ in range(cfg.max_em_iters):
-        posteriors = _e_step(corpus, params, warm, threads)
+        posteriors, topic_counts = _e_step(corpus, params, warm, threads, topic_counts=True)
         warm = [post.nu_hat for post in posteriors]
         obj = float(sum(post.elbo for post in posteriors))
         history.append(obj)
@@ -203,7 +255,7 @@ def train(corpus: Corpus, cfg: TrainConfig, threads: int = 1) -> TrainedModel:
             converged = True
             break
         prev_obj = obj
-        params = m_step(corpus, posteriors, params)
+        params = m_step(posteriors, topic_counts, params)
 
     return TrainedModel(
         params=params,
@@ -224,7 +276,7 @@ def attach_posteriors(model: TrainedModel, corpus: Corpus, threads: int = 1) -> 
     """
     check_compatible(model, corpus.vocabularies)
     warm = [model.params.mu0] * corpus.num_records
-    posteriors = _e_step(corpus, model.params, warm, threads)
+    posteriors, _ = _e_step(corpus, model.params, warm, threads)
     return replace(model, doc_posteriors=posteriors)
 
 

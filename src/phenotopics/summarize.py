@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .learning import TrainedModel
-from .variational import infer_document
+from .variational import infer_block
 
 # Emitted sankey documents follow this structure; nodes exist for every
 # (selected phenotype, bin) pair even at zero salience so renderers keep a
@@ -75,7 +75,7 @@ class SummaryTrajectory:
 
 
 def summarize_record(segments, model: TrainedModel, top_n: int = 5) -> SummaryTrajectory:
-    """Infer each segment under frozen params and track the top-N phenotypes.
+    """Infer the segments under frozen params, as one block, and track the top-N phenotypes.
 
     Selection uses the final (most recent) bin's proportions, ties broken by
     phenotype index; trajectories are then reported for every bin. Segments
@@ -90,15 +90,13 @@ def summarize_record(segments, model: TrainedModel, top_n: int = 5) -> SummaryTr
     if any(seg.record_id != record_id for seg in segments):
         raise ValueError("segments must share one record_id")
 
-    proportions = []
-    bins = []
-    nonconverged = 0
-    for pos, seg in enumerate(segments):
-        post = infer_document(seg, model.params)
-        proportions.append(post.proportions)
-        bins.append(seg.time_bin if seg.time_bin is not None else str(pos))
-        nonconverged += not post.converged
-    proportions = np.stack(proportions)
+    posteriors, _ = infer_block(segments, model.params)
+    proportions = np.stack([post.proportions for post in posteriors])
+    bins = [
+        seg.time_bin if seg.time_bin is not None else str(pos)
+        for pos, seg in enumerate(segments)
+    ]
+    nonconverged = sum(not post.converged for post in posteriors)
 
     top_n = min(top_n, model.params.num_phenotypes)
     # argsort on (-p, index): stable mergesort keeps lower index first on ties

@@ -63,6 +63,10 @@ def _synthetic_vocabularies(sizes) -> tuple:
     )
 
 
+# Largest M * K * vocab_size a Scenario accepts (see Scenario).
+MAX_TOPIC_ENTRIES = 4 * 10**6
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Recipe for a synthetic truth: block topics plus a structured prior.
@@ -75,7 +79,12 @@ class Scenario:
     The sizes are exact integers (``type(x) is int``, so no bools or floats),
     ``tokens_per_type`` is at most ``corpus.MAX_COUNT``, ``block_mass`` is a
     number and every pair is a 3-tuple of two integers and a number; anything
-    else raises ValueError.
+    else raises ValueError. So does a scenario whose topic matrices, were
+    they not shared, would hold more than ``MAX_TOPIC_ENTRIES`` = 4 * 10**6
+    entries (M * K * vocab_size): at that bound :meth:`build_truth` takes
+    about a second (0.8 s CPU at K = vocab_size = 1 and M = 4 * 10**6, 0.95 s
+    at M = 1 and K = vocab_size = 2000, on a 2-vCPU VM), and its time grows
+    with each factor.
     """
 
     name: str
@@ -99,6 +108,11 @@ class Scenario:
             raise ValueError(f"block_mass must be a number in [0, 1], got {self.block_mass!r}")
         if self.K < 1 or self.M < 1 or self.D < 1:
             raise ValueError("K, M and D must be >= 1")
+        if self.M * self.K * self.vocab_size > MAX_TOPIC_ENTRIES:
+            raise ValueError(
+                f"M * K * vocab_size = {self.M * self.K * self.vocab_size} exceeds "
+                f"{MAX_TOPIC_ENTRIES} topic entries"
+            )
         if self.K > self.vocab_size:
             raise ValueError(
                 f"K={self.K} exceeds vocab_size={self.vocab_size}: "

@@ -1,4 +1,4 @@
-"""Per-record posterior inference for the correlated phenotype model.
+"""Posterior inference for the correlated phenotype model, a block of records at a time.
 
 Each record carries M bags of token counts. The latent log phenotype
 proportions ``nu`` get a Gaussian prior N(mu0, sigma0); every token carries a
@@ -10,6 +10,13 @@ approximated by
   Newton ascent, and
 * token responsibilities q(z): a closed-form softmax over phenotypes per
   distinct token, evaluated at that mode.
+
+:func:`infer_block` runs those ascents for a block of records in lockstep:
+each Newton iteration evaluates every still-active record at once, each
+record keeps its own step size and stopping rule, and leaves the block as
+soon as it stops. A record's arithmetic is its own, so its posterior does not
+depend on the block it shares beyond the last digits; :func:`infer_document`
+is a block of one.
 
 The mode is the fixed point of alternating the two updates (Laplace
 variational inference, Wang & Blei 2013, on the correlated topic model's
@@ -23,7 +30,7 @@ normalizer part cancels there anyway), while the reported variational
 objective adds the second-order Gaussian correction of the logsumexp term,
 without which the objective can exceed the true log evidence and stop being a
 bound. At the mode that objective collapses to the Laplace evidence of
-:class:`ModeObjective` (see :func:`infer_document`), so it has no second,
+:class:`ModeObjective` (see :func:`infer_block`), so it has no second,
 term-by-term formulation and a posterior keeps no per-token arrays.
 """
 
@@ -107,7 +114,11 @@ class ModelParams:
             raise ValueError("sigma0 / sigma0_inv shape does not match mu0")
         if not np.all(np.isfinite(self.mu0)) or not np.all(np.isfinite(self.sigma0)):
             raise ValueError("mu0 / sigma0 must be finite")
+        checked = set()  # a matrix shared by several types is checked once
         for m, lb in enumerate(self.log_beta):
+            if id(lb) in checked:
+                continue
+            checked.add(id(lb))
             if lb.ndim != 2 or lb.shape[0] != k:
                 raise ValueError(f"log_beta[{m}] must have K={k} rows, got shape {lb.shape}")
             if not np.all(np.isfinite(lb)):
@@ -125,8 +136,8 @@ class DocPosterior:
     ``expected_counts`` is the (M, K) matrix of per-type expected token mass
     per phenotype, ``elbo`` the record's variational objective and
     ``iterations`` the number of Newton iterations. Nothing here grows with
-    the record's length: the q(z) columns are recomputed from the mode when
-    needed (``ModeObjective(record, params).evaluate(nu_hat).responsibilities()``).
+    the record's length: :func:`infer_block` returns the evaluation at the
+    modes, whose :meth:`Evaluation.responsibilities` give the q(z) columns.
     """
 
     nu_hat: np.ndarray
@@ -166,13 +177,21 @@ def _responsibilities(log_beta: np.ndarray, idx, cnt, nu):
     return q, q @ cnt, float(cnt @ lse)
 
 
-def _laplace_hessian(pi, n_total: float, params: ModelParams) -> np.ndarray:
+def _laplace_hessian(pi, n_total, params: ModelParams) -> np.ndarray:
     """Hessian of -n_total * logsumexp(nu) - (nu - mu0)' sigma0_inv (nu - mu0) / 2.
 
     Negative definite whenever sigma0 is PD, since diag(pi) - pi pi' is PSD;
-    its negated inverse at the mode is the Laplace covariance.
+    its negated inverse at the mode is the Laplace covariance. ``pi`` may be
+    one vector or a stack of rows (with one ``n_total`` per row), giving one
+    K x K matrix per row.
     """
-    return n_total * (np.outer(pi, pi) - np.diag(pi)) - params.sigma0_inv
+    pi = np.asarray(pi, dtype=float)
+    diagonal = np.arange(pi.shape[-1])
+    hess = pi[..., :, None] * pi[..., None, :]
+    hess[..., diagonal, diagonal] -= pi
+    hess *= np.asarray(n_total, dtype=float)[..., None, None]
+    hess -= params.sigma0_inv
+    return hess
 
 
 # Smallest column mass pi @ B the factored responsibility pass accepts; a bag
@@ -184,7 +203,9 @@ MIN_COLUMN_MASS = 1e-60
 
 
 class ModeObjective:
-    """Collapsed log joint of one record, log p(x, nu) up to a constant.
+    """Collapsed log joint of each record in a block, log p(x, nu) up to a constant.
+
+    For one record,
 
     g(nu) = sum_m sum_v c_mv log sum_k pi_k beta_m[k, v]
             - (nu - mu0)' sigma0_inv (nu - mu0) / 2,
@@ -199,105 +220,169 @@ class ModeObjective:
 
     The token work is done once per record: ``__init__`` gathers each bag's
     beta columns as B_m = exp(log_beta[m][:, idx] - top_m), shifted by their
-    column max top_m so every entry is at most 1. :meth:`evaluate` then
-    needs pi, the column masses s_m = pi @ B_m and the data term c_m @
-    (log s_m + top_m); the expected counts pi * (B_m @ (c_m / s_m)) and q(z)
+    column max top_m so every entry is at most 1, and keeps c_m @ top_m.
+    :meth:`evaluate` takes any rows of the block, each at its own point, and
+    needs pi, the column masses s_m = pi @ B_m and the data term c_m @ log s_m
+    + c_m @ top_m; the expected counts pi * (B_m @ (c_m / s_m)) and q(z)
     itself, B_m * pi / s_m, are built from those on demand (see
     :class:`Evaluation`). A bag with a mass below ``MIN_COLUMN_MASS`` at the
-    point goes through the exact :func:`_responsibilities` instead.
+    point goes through the exact :func:`_responsibilities` instead. The
+    products with a record's columns are made per record, so no record's
+    columns are padded or copied; everything else is one array operation over
+    the rows.
 
     Per-type terms are summed before the prior terms are added, so permuting
     the types leaves every result bitwise unchanged.
     """
 
-    def __init__(self, record: RecordBags, params: ModelParams):
+    def __init__(self, records, params: ModelParams):
         self.params = params
-        self.indices, self.counts = _bag_arrays(record, params)
-        self.n_total = float(sum(cnt.sum() for cnt in self.counts))
-        self._beta = []
-        for lb, idx in zip(params.log_beta, self.indices):
-            columns = lb[:, idx]
-            top = columns.max(axis=0)
-            self._beta.append((np.exp(columns - top), top))
+        self.indices, self.counts, self._beta = [], [], []
+        for record in records:
+            indices, counts = _bag_arrays(record, params)
+            beta = []
+            for lb, idx, cnt in zip(params.log_beta, indices, counts):
+                columns = lb[:, idx]
+                top = columns.max(axis=0)
+                beta.append((np.exp(columns - top), float(cnt @ top)))
+            self.indices.append(indices)
+            self.counts.append(counts)
+            self._beta.append(beta)
+        self.n_total = np.array([float(sum(cnt.sum() for cnt in counts)) for counts in self.counts])
 
-    def evaluate(self, nu) -> "Evaluation":
-        """g at ``nu``, with its derivatives and q(z) on demand."""
-        return Evaluation(self, np.asarray(nu, dtype=float))
+    def evaluate(self, rows, nu) -> "Evaluation":
+        """g of record ``rows[i]`` at ``nu[i]`` for each i; derivatives and q(z) on demand."""
+        params = self.params
+        rows = np.asarray(rows, dtype=np.intp)
+        nu = np.asarray(nu, dtype=float)
+        pi, lse = _log_normalize(nu.T)
+        pi = np.ascontiguousarray(pi.T)
+        data = np.zeros((rows.size, params.num_types))
+        columns = []  # per row, per bag: (mass, q or None)
+        for i, r in enumerate(rows.tolist()):
+            bags = []
+            for m, ((shifted, offset), idx, cnt) in enumerate(
+                zip(self._beta[r], self.indices[r], self.counts[r])
+            ):
+                mass = pi[i] @ shifted
+                if mass.min(initial=np.inf) >= MIN_COLUMN_MASS:
+                    data[i, m] = cnt @ np.log(mass) + offset
+                    q = None
+                else:
+                    q, _, data[i, m] = _responsibilities(params.log_beta[m], idx, cnt, nu[i])
+                    data[i, m] -= cnt.sum() * lse[i]
+                bags.append((mass, q))
+            columns.append(bags)
+        centered = nu - params.mu0
+        prior = 0.5 * ((centered @ params.sigma0_inv) * centered).sum(axis=1)
+        return Evaluation(self, rows, pi, data.sum(axis=1) - prior, centered, columns)
 
 
 class Evaluation:
-    """One :class:`ModeObjective` evaluation at a point nu.
+    """One :class:`ModeObjective` evaluation: rows of the block, each at its own point nu.
 
-    ``pi`` (softmax(nu)), the column masses and ``value`` (g(nu)) are computed
-    at once. ``expected``, the (M, K) expected counts, is built on first use
-    and kept; :meth:`gradient`, :meth:`hessian` and :meth:`responsibilities`
-    are computed on each call. Everything comes from the one pass over the
-    masses, so an evaluation the line search rejects costs no expected counts.
-    ``expected`` is kept by a plain ``None`` check rather than a functools
-    cached property, which on Python 3.10/3.11 takes a class-wide lock that
-    would serialize threaded E-steps.
+    ``pi`` (softmax(nu), one row each), the column masses and ``value`` (g at
+    each point) are computed at once. ``expected``, the (n, M, K) expected
+    counts, is built on first use and kept; :meth:`gradient` (n, K),
+    :meth:`hessian` (n, K, K) and :meth:`responsibilities` are computed on
+    each call. Everything comes from the one pass over the masses, so an
+    evaluation the line search rejects costs no expected counts. ``take`` and
+    ``concat`` select and join rows without recomputing them, as
+    :func:`~phenotopics.numerics.maximize_concave` needs. ``expected`` is kept
+    by a plain ``None`` check rather than a functools cached property, which
+    on Python 3.10/3.11 takes a class-wide lock that would serialize threaded
+    E-steps.
     """
 
-    def __init__(self, objective: ModeObjective, nu: np.ndarray):
-        self._objective = objective
-        params = objective.params
-        self.pi, lse = _log_normalize(nu)
-        data = np.zeros(params.num_types)
-        self._columns = []  # per bag: (mass, q or None)
-        for m, ((shifted, top), idx, cnt) in enumerate(
-            zip(objective._beta, objective.indices, objective.counts)
-        ):
-            mass = self.pi @ shifted
-            if np.all(mass >= MIN_COLUMN_MASS):
-                data[m] = cnt @ (np.log(mass) + top)
-                q = None
-            else:
-                q, _, data[m] = _responsibilities(params.log_beta[m], idx, cnt, nu)
-                data[m] -= cnt.sum() * lse
-            self._columns.append((mass, q))
-        self._centered = nu - params.mu0
-        prior = 0.5 * float(self._centered @ params.sigma0_inv @ self._centered)
-        self.value = float(data.sum()) - prior
-        self._expected = None
+    def __init__(self, objective, rows, pi, value, centered, columns, expected=None):
+        self.objective = objective
+        self.rows = rows
+        self.pi = pi
+        self.value = value
+        self._centered = centered
+        self._columns = columns
+        self._expected = expected
+
+    def take(self, selection) -> "Evaluation":
+        """The rows at ``selection`` (a boolean mask or positions), in that order."""
+        positions = np.arange(self.rows.size)[selection]
+        return Evaluation(
+            self.objective,
+            self.rows[positions],
+            self.pi[positions],
+            self.value[positions],
+            self._centered[positions],
+            [self._columns[i] for i in positions.tolist()],
+            None if self._expected is None else self._expected[positions],
+        )
+
+    @classmethod
+    def concat(cls, evaluations) -> "Evaluation":
+        """The rows of each evaluation in turn (all of one objective)."""
+        if len(evaluations) == 1:
+            return evaluations[0]
+        expected = [e._expected for e in evaluations]
+        return cls(
+            evaluations[0].objective,
+            *(np.concatenate([getattr(e, name) for e in evaluations])
+              for name in ("rows", "pi", "value", "_centered")),
+            [bags for e in evaluations for bags in e._columns],
+            None if any(x is None for x in expected) else np.concatenate(expected),
+        )
 
     @property
     def expected(self) -> np.ndarray:
         if self._expected is None:
-            self._expected = np.zeros((len(self._columns), self.pi.size))
-            for m, ((shifted, _), cnt, (mass, q)) in enumerate(
-                zip(self._objective._beta, self._objective.counts, self._columns)
-            ):
-                self._expected[m] = self.pi * (shifted @ (cnt / mass)) if q is None else q @ cnt
+            objective = self.objective
+            n, k = self.pi.shape
+            self._expected = np.empty((n, objective.params.num_types, k))
+            for i, r in enumerate(self.rows.tolist()):
+                for m, ((shifted, _), cnt, (mass, q)) in enumerate(
+                    zip(objective._beta[r], objective.counts[r], self._columns[i])
+                ):
+                    self._expected[i, m] = (
+                        self.pi[i] * (shifted @ (cnt / mass)) if q is None else q @ cnt
+                    )
         return self._expected
 
     def gradient(self) -> np.ndarray:
-        objective = self._objective
+        objective = self.objective
         return (
-            self.expected.sum(axis=0)
-            - objective.n_total * self.pi
-            - objective.params.sigma0_inv @ self._centered
+            self.expected.sum(axis=1)
+            - objective.n_total[self.rows, None] * self.pi
+            - self._centered @ objective.params.sigma0_inv
         )
 
     def hessian(self) -> np.ndarray:
-        pi = self.pi
-        k = pi.size
+        objective = self.objective
+        n, k = self.pi.shape
         # (R * c) R' = outer(pi, pi) * (B * c / s**2) B' on the factored bags
-        factored, exact = np.zeros((k, k)), np.zeros((k, k))
-        for (shifted, _), cnt, (mass, q) in zip(
-            self._objective._beta, self._objective.counts, self._columns
-        ):
-            if q is None:
-                factored += (shifted * (cnt / (mass * mass))) @ shifted.T
-            else:
-                exact += (q * cnt) @ q.T
-        data = np.diag(self.expected.sum(axis=0)) - np.outer(pi, pi) * factored - exact
-        return data + _laplace_hessian(pi, self._objective.n_total, self._objective.params)
+        factored, exact = np.zeros((n, k, k)), None
+        for i, r in enumerate(self.rows.tolist()):
+            for (shifted, _), cnt, (mass, q) in zip(
+                objective._beta[r], objective.counts[r], self._columns[i]
+            ):
+                if q is None:
+                    factored[i] += (shifted * (cnt / (mass * mass))) @ shifted.T
+                else:
+                    if exact is None:
+                        exact = np.zeros((n, k, k))
+                    exact[i] += (q * cnt) @ q.T
+        factored *= self.pi[:, :, None] * self.pi[:, None, :]
+        if exact is not None:
+            factored += exact
+        hess = _laplace_hessian(self.pi, objective.n_total[self.rows], objective.params)
+        hess -= factored
+        diagonal = np.arange(k)
+        hess[:, diagonal, diagonal] += self.expected.sum(axis=1)
+        return hess
 
-    def responsibilities(self) -> list:
-        """Per-type (K, n_m) q(z) columns, aligned with the objective's ``indices``."""
+    def responsibilities(self, i) -> list:
+        """Row ``i``'s per-type (K, n_m) q(z) columns, aligned with its record's ``indices``."""
+        objective = self.objective
         return [
-            shifted * self.pi[:, None] / mass if q is None else q
-            for (shifted, _), (mass, q) in zip(self._objective._beta, self._columns)
+            shifted * self.pi[i][:, None] / mass if q is None else q
+            for (shifted, _), (mass, q) in zip(objective._beta[self.rows[i]], self._columns[i])
         ]
 
 
@@ -317,22 +402,21 @@ def _invert_neg_hessian(hessian: np.ndarray):
     return cov, -logdet
 
 
-def infer_document(
-    record: RecordBags,
-    params: ModelParams,
-    nu_init=None,
-) -> DocPosterior:
-    """Laplace posterior for one record: one Newton ascent on the collapsed objective.
+def infer_block(records, params: ModelParams, starts=None):
+    """Laplace posteriors for a block of records: one lockstep Newton ascent on their objectives.
 
-    Starts at ``nu_init`` (prior mean by default; training passes the previous
-    EM iteration's mode as a warm start) and maximizes :class:`ModeObjective`.
-    q(z) is read off at the mode, and the covariance is the inverse of
-    N (diag(pi) - pi pi') + sigma0_inv there. The record counts as converged
-    when the Newton step left at the returned mode is at most
+    Each record starts at its row of ``starts`` (the prior mean for every
+    record by default; training passes the previous EM iteration's modes as
+    warm starts), and :func:`~phenotopics.numerics.maximize_concave` climbs
+    every record's :class:`ModeObjective` at once; a record leaves the block
+    as soon as it stops. q(z) is read off at the mode, and the covariance is
+    the inverse of N (diag(pi) - pi pi') + sigma0_inv there. A record counts
+    as converged when the Newton step left at its returned mode is at most
     ``CONVERGED_STEP_TOL`` in sup-norm: the step is 0 where Newton met its
     gradient tolerance, and small where the float floor of the objective
     stopped the line search first. Deterministic: no randomness anywhere in
-    the updates.
+    the updates, and a record's arithmetic is its own, so the block it shares
+    changes its mode only in the last digits.
 
     The variational objective E_q[log p(nu, z, x)] + H[q], with the
     logsumexp(nu) expectation taken to second order at the mode, is
@@ -343,25 +427,41 @@ def infer_document(
     The token terms plus the q(z) entropy sum to g's data term, and the
     curvature correction plus the prior's trace term sum to <-H_L, cov> / 2,
     which is K / 2 unless a ridge repaired the covariance.
+
+    Returns the :class:`DocPosterior` of each record, in order, and the
+    :class:`Evaluation` at the modes, row i for record i (its
+    :meth:`Evaluation.responsibilities` give q(z) there).
     """
-    objective = ModeObjective(record, params)
-    nu0 = np.array(params.mu0 if nu_init is None else nu_init, dtype=float)
-    result = maximize_concave(objective.evaluate, nu0)
+    objective = ModeObjective(records, params)
+    if starts is None:
+        starts = np.tile(params.mu0, (len(objective.counts), 1))
+    result = maximize_concave(objective.evaluate, np.array(starts, dtype=float))
     mode = result.point
     hessian = _laplace_hessian(mode.pi, objective.n_total, params)
-    nu_cov, logdet_cov = _invert_neg_hessian(hessian)
-    elbo = (
-        mode.value
-        + 0.5 * (params.num_phenotypes + float(np.sum(hessian * nu_cov)))
-        + 0.5 * (logdet_cov - params.sigma0_logdet)
-    )
+    expected = mode.expected
+    posteriors = []
+    for i in range(len(objective.counts)):
+        nu_cov, logdet_cov = _invert_neg_hessian(hessian[i])
+        elbo = (
+            mode.value[i]
+            + 0.5 * (params.num_phenotypes + float(np.sum(hessian[i] * nu_cov)))
+            + 0.5 * (logdet_cov - params.sigma0_logdet)
+        )
+        posteriors.append(
+            DocPosterior(
+                nu_hat=result.x[i],
+                nu_cov=nu_cov,
+                expected_counts=expected[i],
+                proportions=mode.pi[i],
+                elbo=float(elbo),
+                converged=bool(result.step_norm[i] <= CONVERGED_STEP_TOL),
+                iterations=int(result.iterations[i]),
+            )
+        )
+    return posteriors, mode
 
-    return DocPosterior(
-        nu_hat=result.x,
-        nu_cov=nu_cov,
-        expected_counts=mode.expected,
-        proportions=mode.pi,
-        elbo=elbo,
-        converged=result.step_norm <= CONVERGED_STEP_TOL,
-        iterations=result.iterations,
-    )
+
+def infer_document(record: RecordBags, params: ModelParams, nu_init=None) -> DocPosterior:
+    """Laplace posterior for one record: :func:`infer_block` on a block of one."""
+    posteriors, _ = infer_block([record], params, None if nu_init is None else [nu_init])
+    return posteriors[0]

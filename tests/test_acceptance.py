@@ -14,7 +14,7 @@ import numpy as np
 
 from phenotopics.cli import main
 from phenotopics.corpus import Corpus, RecordBags, Vocabulary, save_corpus
-from phenotopics.learning import TrainConfig, initialize, m_step, train, vocab_fingerprint
+from phenotopics.learning import TrainConfig, _e_step, initialize, m_step, train, vocab_fingerprint
 from phenotopics.learning import TrainedModel
 from phenotopics.phenotype import correlation_graph, covariance_to_correlation
 from phenotopics.summarize import (
@@ -46,14 +46,18 @@ def test_criterion_01_derivative_correctness():
             params = random_params(rng, k, [9, 5])
             lengths = [int(rng.integers(1, 60)), int(rng.integers(0, 20))]
             record = random_record(rng, params, lengths)
-            objective = ModeObjective(record, params)
+            objective = ModeObjective([record], params)
+
+            def at(x):
+                return objective.evaluate([0], np.asarray(x)[None])
+
             nu = rng.normal(scale=2.0, size=k)
-            grad = objective.evaluate(nu).gradient()
-            grad_fd = finite_difference_gradient(lambda x: objective.evaluate(x).value, nu, 1e-6)
+            grad = at(nu).gradient()[0]
+            grad_fd = finite_difference_gradient(lambda x: at(x).value[0], nu, 1e-6)
             rel = np.abs(grad - grad_fd).max() / max(1.0, np.abs(grad_fd).max())
             worst_grad = max(worst_grad, rel)
-            hess = objective.evaluate(nu).hessian()
-            hess_fd = fd_jacobian(lambda x: objective.evaluate(x).gradient(), nu, 1e-5)
+            hess = at(nu).hessian()[0]
+            hess_fd = fd_jacobian(lambda x: at(x).gradient()[0], nu, 1e-5)
             worst_hess = max(worst_hess, np.abs(hess - hess_fd).max())
     elapsed = time.monotonic() - started
     report(
@@ -178,11 +182,12 @@ def test_criterion_06_normalization_and_conservation():
     worst_conserve = 0.0
     sigma_pd = True
     for _ in range(8):
-        posts = []
-        for rec, w in zip(corpus.records, warm):
-            post = infer_document(rec, params, nu_init=w)
-            posts.append(post)
-            resp = ModeObjective(rec, params).evaluate(post.nu_hat).responsibilities()
+        posts, topic_counts = _e_step(corpus, params, warm, threads=1, topic_counts=True)
+        modes = ModeObjective(corpus.records, params).evaluate(
+            np.arange(corpus.num_records), [post.nu_hat for post in posts]
+        )
+        for i, (rec, post) in enumerate(zip(corpus.records, posts)):
+            resp = modes.responsibilities(i)
             for m, bag in enumerate(rec.bags):
                 if bag:
                     sums = resp[m].sum(axis=0)
@@ -191,8 +196,11 @@ def test_criterion_06_normalization_and_conservation():
                     worst_conserve,
                     abs(float(post.expected_counts[m].sum()) - sum(bag.values())),
                 )
+        for m, counts in enumerate(topic_counts):
+            total = sum(sum(rec.bags[m].values()) for rec in corpus.records)
+            worst_conserve = max(worst_conserve, abs(float(counts.sum()) - total) / total)
         warm = [p.nu_hat for p in posts]
-        params = m_step(corpus, posts, current=params)
+        params = m_step(posts, topic_counts, params)
         for lb in params.log_beta:
             worst_row = max(worst_row, float(np.abs(np.exp(lb).sum(axis=1) - 1.0).max()))
         try:

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from types import SimpleNamespace
 
 import jsonschema
@@ -278,6 +279,40 @@ class TestTrainOnPreset:
         assert (out / "history.csv").exists()
 
 
+    def test_thread_count_does_not_change_outputs_across_blocks(self, tmp_path):
+        # 1,200 records of the overlapping preset span several E-step
+        # blocks, so threads really split the partition
+        from dataclasses import replace
+
+        from phenotopics.corpus import load_corpus
+        from phenotopics.synth import get_preset, sample_scenario
+
+        corpus, _ = sample_scenario(replace(get_preset("overlapping"), D=1200), seed=3)
+        assert len(learning._blocks(corpus.records)) >= 3
+        corpus_path = tmp_path / "corpus"
+        save_corpus(corpus, corpus_path)
+        outs = []
+        for threads in ("1", "2", "3"):
+            out = tmp_path / f"t{threads}"
+            assert main(
+                ["train", "--corpus", str(corpus_path), "--k", "4", "--seed", "3",
+                 "--max-em-iters", "3", "--threads", threads, "--out", str(out)]
+            ) in (0, 3)
+            outs.append(out)
+        for name in ("model.json", "history.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+            assert (outs[0] / name).read_bytes() == (outs[2] / name).read_bytes()
+
+        model = learning.load_model(outs[0] / "model.json")
+        corpus = load_corpus(corpus_path)
+        attached = [learning.attach_posteriors(model, corpus, threads=t) for t in (1, 2, 3)]
+        for other in attached[1:]:
+            for a, b in zip(attached[0].doc_posteriors, other.doc_posteriors):
+                for field in ("nu_hat", "nu_cov", "expected_counts", "proportions"):
+                    np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+                assert (a.elbo, a.converged, a.iterations) == (b.elbo, b.converged, b.iterations)
+
+
 class TestPhenotypes:
     def test_writes_report_and_graph(self, trained, tmp_path):
         out = tmp_path / "phen"
@@ -507,11 +542,12 @@ class TestSummarize:
         monkeypatch.setattr(numerics, "NEWTON_MAX_ITERS", 1)
         posteriors = []
 
-        def infer_document(*args, **kwargs):
-            posteriors.append(variational.infer_document(*args, **kwargs))
-            return posteriors[-1]
+        def infer_block(*args, **kwargs):
+            result = variational.infer_block(*args, **kwargs)
+            posteriors.extend(result[0])
+            return result
 
-        monkeypatch.setattr(summarize, "infer_document", infer_document)
+        monkeypatch.setattr(summarize, "infer_block", infer_block)
         record_file = self.write_segments(
             tmp_path,
             [{"id": rid, "time_bin": f"y{i}", "bags": {"dx": {"w0": 3 + i, "w4": 5 - i}}}
@@ -585,9 +621,11 @@ class TestEval:
         assert json.loads((out / "manifest.json").read_text())["nonconverged_records"] == expected
 
     def test_scenario_with_a_trillion_types_exits_1_at_once(self, tmp_path):
-        # build_truth's first M-sized step asks for 8 TB at once. The child's
-        # address-space cap makes the kernel refuse that request before any
-        # page is touched, whatever the machine's overcommit policy.
+        # the topic-entry bound rejects the scenario before anything M-sized
+        # is built. Should it not, build_truth's first M-sized step asks for
+        # 8 TB at once, and the child's address-space cap makes the kernel
+        # refuse that request before any page is touched, whatever the
+        # machine's overcommit policy.
         pytest.importorskip("resource")
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(dict(TINY_SCENARIO, M=10**12)))
@@ -606,7 +644,17 @@ class TestEval:
             env=dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
         )
         assert proc.returncode == 1
-        assert "out of memory" in proc.stderr and "Traceback" not in proc.stderr
+        assert "topic entries" in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_scenario_past_the_topic_entry_bound_exits_1_in_under_a_second(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(dict(TINY_SCENARIO, M=10**6, vocab_size=100)))
+        out = tmp_path / "e"
+        started = time.process_time()
+        code = main(["eval", "--scenario", str(path), "--seed", "1", "--out", str(out)])
+        assert code == 1
+        assert time.process_time() - started < 1.0
         assert not out.exists()
 
     def test_preset_or_scenario_required(self, tmp_path):

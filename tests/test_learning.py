@@ -12,6 +12,7 @@ from phenotopics.learning import (
     FingerprintError,
     ModelFormatError,
     TrainConfig,
+    _blocks,
     _e_step,
     attach_posteriors,
     check_compatible,
@@ -23,7 +24,7 @@ from phenotopics.learning import (
     vocab_fingerprint,
 )
 from phenotopics.synth import get_preset, match_phenotypes, sample_corpus, sample_scenario
-from phenotopics.variational import DocPosterior, ModelParams, infer_document
+from phenotopics.variational import DocPosterior, ModelParams, _responsibilities
 
 from .conftest import make_params, two_block_corpus
 
@@ -57,6 +58,24 @@ def manual_posterior(nu_hat, nu_cov, expected):
         converged=True,
         iterations=1,
     )
+
+
+def topic_counts_at(corpus, params, modes):
+    """Sum over records of count-weighted q(z) at the given modes, per type,
+    by the exact per-bag path."""
+    sums = [np.zeros_like(lb) for lb in params.log_beta]
+    for record, nu in zip(corpus.records, modes):
+        for m, bag in enumerate(record.bags):
+            idx = np.array(list(bag), dtype=np.intp)
+            cnt = np.array(list(bag.values()), dtype=float)
+            q, _, _ = _responsibilities(params.log_beta[m], idx, cnt, np.asarray(nu, dtype=float))
+            sums[m][:, idx] += q * cnt
+    return sums
+
+
+def m_step_at(corpus, posts, current):
+    """m_step with the topic counts of ``posts``' modes under ``current``."""
+    return m_step(posts, topic_counts_at(corpus, current, [p.nu_hat for p in posts]), current)
 
 
 # q(z) at nu = 0 is the column of beta normalized over phenotypes, so a
@@ -143,7 +162,7 @@ class TestMStep:
             manual_posterior(np.zeros(2), np.eye(2), [[4.0, 0.0]]),
             manual_posterior(np.zeros(2), np.eye(2), [[0.0, 4.0]]),
         ]
-        params = m_step(corpus, posts, current=current)
+        params = m_step_at(corpus, posts, current)
         beta = np.exp(params.log_beta[0])
         np.testing.assert_allclose(beta[0], [0.5, 0.5, 0.0, 0.0], atol=1e-9)
         np.testing.assert_allclose(beta[1], [0.0, 0.0, 0.25, 0.75], atol=1e-9)
@@ -157,7 +176,7 @@ class TestMStep:
         # q(z) columns at nu = 0: token a (1, 0), token b (1/3, 2/3)
         current = make_params([0.0, 0.0], np.eye(2), [[[0.5, 0.5], [TINY, 1.0]]])
         posts = [manual_posterior(np.zeros(2), np.eye(2), [[4.0, 4.0]])]
-        params = m_step(corpus, posts, current=current)
+        params = m_step_at(corpus, posts, current)
         beta = np.exp(params.log_beta[0])
         np.testing.assert_allclose(beta[0], [0.5, 0.5], atol=1e-9)
         np.testing.assert_allclose(beta[1], [0.0, 1.0], atol=1e-9)
@@ -168,7 +187,7 @@ class TestMStep:
         posts = [
             manual_posterior(np.zeros(2), np.eye(2), [[3.0, 3.0]]) for _ in corpus.records
         ]
-        params = m_step(corpus, posts, current=initialize(corpus, cfg))
+        params = m_step_at(corpus, posts, initialize(corpus, cfg))
         np.testing.assert_allclose(params.mu0, np.zeros(2), atol=1e-12)
         np.testing.assert_allclose(params.sigma0, np.eye(2), atol=1e-12)
 
@@ -176,8 +195,10 @@ class TestMStep:
         corpus = tiny_corpus(num_types=2, vocab_size=6, num_records=5)
         cfg = TrainConfig(K=3, seed=2)
         params = initialize(corpus, cfg)
-        posts = [infer_document(r, params) for r in corpus.records]
-        new = m_step(corpus, posts, current=params)
+        posts, topic_counts = _e_step(
+            corpus, params, [params.mu0] * 5, threads=1, topic_counts=True
+        )
+        new = m_step(posts, topic_counts, params)
         for lb in new.log_beta:
             np.testing.assert_allclose(np.exp(lb).sum(axis=1), 1.0, atol=1e-9)
         np.linalg.cholesky(new.sigma0)
@@ -190,16 +211,35 @@ class TestMStep:
         indefinite = [[1.0, 3.0], [3.0, 1.0]]
         posts = [manual_posterior(np.zeros(2), indefinite, [[3.0, 3.0]]) for _ in range(2)]
         with pytest.warns(RuntimeWarning, match="ridge 10$") as caught:
-            params = m_step(corpus, posts, current=initialize(corpus, cfg))
+            params = m_step_at(corpus, posts, initialize(corpus, cfg))
         assert len(caught) == 1
         np.linalg.cholesky(params.sigma0)
         np.testing.assert_allclose(params.sigma0, np.array(indefinite) + 10 * np.eye(2), rtol=1e-12)
 
-    def test_posterior_count_mismatch_rejected(self):
-        corpus = tiny_corpus(num_records=3)
-        cfg = TrainConfig(K=2)
-        with pytest.raises(ValueError, match="one posterior per record"):
-            m_step(corpus, [], current=initialize(corpus, cfg))
+    def test_no_posteriors_or_mismatched_topic_counts_rejected(self):
+        corpus = tiny_corpus(num_types=2, num_records=3)
+        params = initialize(corpus, TrainConfig(K=2))
+        posts, topic_counts = _e_step(
+            corpus, params, [params.mu0] * 3, threads=1, topic_counts=True
+        )
+        with pytest.raises(ValueError, match="at least one posterior"):
+            m_step([], topic_counts, params)
+        for wrong in (topic_counts[:1], [topic_counts[0], topic_counts[1][:, :-1]]):
+            with pytest.raises(ValueError, match="topic count"):
+                m_step(posts, wrong, params)
+
+    def test_e_step_topic_counts_match_exact_responsibilities(self):
+        # a corpus of several blocks, warm-started off the prior mean so that
+        # the modes differ from record to record
+        corpus, _ = sample_scenario(get_preset("overlapping"), seed=5)
+        assert len(_blocks(corpus.records)) >= 2
+        params = initialize(corpus, TrainConfig(K=4, seed=5))
+        rng = np.random.default_rng(9)
+        warm = list(rng.normal(size=(corpus.num_records, 4)))
+        posts, topic_counts = _e_step(corpus, params, warm, threads=2, topic_counts=True)
+        oracle = topic_counts_at(corpus, params, [p.nu_hat for p in posts])
+        for got, want in zip(topic_counts, oracle):
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
 class TestTrain:
@@ -267,8 +307,10 @@ class TestTrain:
 
         def run_em(params):
             for _ in range(10):
-                posts = [infer_document(r, params, nu_init=params.mu0) for r in corpus.records]
-                params = m_step(corpus, posts, current=params)
+                posts, topic_counts = _e_step(
+                    corpus, params, [params.mu0] * corpus.num_records, threads=1, topic_counts=True
+                )
+                params = m_step(posts, topic_counts, params)
             return params
 
         a = run_em(start)
@@ -286,13 +328,26 @@ class TestTrain:
         params = initialize(corpus, cfg)
         warm = [params.mu0] * corpus.num_records
         for _ in range(8):
-            posts = _e_step(corpus, params, warm, threads=1)
+            posts, topic_counts = _e_step(corpus, params, warm, threads=1, topic_counts=True)
             unconverged = [
                 rec.record_id for rec, post in zip(corpus.records, posts) if not post.converged
             ]
             assert unconverged == []
             warm = [post.nu_hat for post in posts]
-            params = m_step(corpus, posts, current=params)
+            params = m_step(posts, topic_counts, params)
+
+
+class TestBlocks:
+    def test_consecutive_runs_within_the_token_cap(self, monkeypatch):
+        monkeypatch.setattr(learning, "BLOCK_TOKENS", 10)
+        sizes = [4, 5, 2, 11, 0, 3, 7, 3]  # distinct tokens per record, over two types
+        records = [
+            RecordBags(f"r{d}", ({v: 1 for v in range(n // 2)}, {v: 1 for v in range(n - n // 2)}))
+            for d, n in enumerate(sizes)
+        ]
+        # a record past the cap is a block of its own; an empty one joins the next
+        assert _blocks(records) == [(0, 2), (2, 3), (3, 4), (4, 7), (7, 8)]
+        assert _blocks([]) == []
 
 
 class TestModelIO:

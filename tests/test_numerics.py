@@ -177,33 +177,55 @@ class TestPdInverse:
         assert logdet == pytest.approx(0.0, abs=1e-12)  # log det diag(2, 0.5)
 
 
-def points(f, grad, hess):
-    """``evaluate`` for :func:`maximize_concave` from value, gradient and Hessian functions."""
-    return lambda x: SimpleNamespace(value=f(x), gradient=lambda: grad(x), hessian=lambda: hess(x))
-
-
 class CountingObjective:
-    """A fake objective that records, by position in ``points``, which of its
-    evaluations the driver reads a gradient or Hessian from."""
+    """A fake block objective for :func:`maximize_concave` from value, gradient
+    and Hessian functions of (row, x). It numbers every point it evaluates and
+    records, by that number, the points whose gradient or Hessian the driver
+    reads."""
 
     def __init__(self, f, grad, hess):
         self.f, self.grad, self.hess = f, grad, hess
         self.points, self.gradient_reads, self.hessian_reads = [], [], []
 
-    def evaluate(self, x):
-        x, index = np.array(x), len(self.points)
+    def evaluate(self, rows, x):
+        first = len(self.points)
+        for row, xi in zip(np.asarray(rows).tolist(), np.array(x)):
+            self.points.append(SimpleNamespace(row=row, x=xi, value=self.f(row, xi)))
+        return Points(self, np.arange(first, len(self.points)))
 
-        def gradient():
-            self.gradient_reads.append(index)
-            return self.grad(x)
 
-        def hessian():
-            self.hessian_reads.append(index)
-            return self.hess(x)
+class Points:
+    """The evaluation :class:`CountingObjective` returns: some of its points, in order."""
 
-        point = SimpleNamespace(x=x, value=self.f(x), gradient=gradient, hessian=hessian)
-        self.points.append(point)
-        return point
+    def __init__(self, objective, ids):
+        self.objective, self.ids = objective, ids
+        self.value = np.array([objective.points[i].value for i in ids], dtype=float)
+
+    def _read(self, fn, log):
+        log += self.ids.tolist()
+        return np.array([fn(self.objective.points[i].row, self.objective.points[i].x)
+                         for i in self.ids])
+
+    def gradient(self):
+        return self._read(self.objective.grad, self.objective.gradient_reads)
+
+    def hessian(self):
+        return self._read(self.objective.hess, self.objective.hessian_reads)
+
+    def take(self, selection):
+        return Points(self.objective, self.ids[selection])
+
+    @classmethod
+    def concat(cls, evaluations):
+        return cls(evaluations[0].objective, np.concatenate([e.ids for e in evaluations]))
+
+
+def points(f, grad, hess):
+    """``evaluate`` for :func:`maximize_concave` from value, gradient and Hessian functions of x,
+    the same for every row."""
+    return CountingObjective(
+        lambda row, x: f(x), lambda row, x: grad(x), lambda row, x: hess(x)
+    ).evaluate
 
 
 class TestMaximizeConcave:
@@ -215,13 +237,14 @@ class TestMaximizeConcave:
                 lambda x: a - x,
                 lambda x: -np.eye(3),
             ),
-            np.zeros(3),
+            np.zeros((1, 3)),
         )
-        assert result.converged
-        assert result.iterations == 1
-        np.testing.assert_allclose(result.x, a, atol=1e-12)
+        assert result.converged.tolist() == [True]
+        assert result.iterations.tolist() == [1]
+        np.testing.assert_allclose(result.x[0], a, atol=1e-12)
 
     def test_random_concave_quadratics_recover_optimum(self):
+        # every row of a block climbs to the optimum from its own start
         rng = np.random.default_rng(3)
         for _ in range(20):
             k = int(rng.integers(2, 8))
@@ -235,10 +258,10 @@ class TestMaximizeConcave:
                     lambda x: b - a @ x,
                     lambda x: -a,
                 ),
-                rng.normal(size=k),
+                rng.normal(size=(3, k)),
             )
-            assert result.converged
-            np.testing.assert_allclose(result.x, x_star, atol=1e-8)
+            assert result.converged.all()
+            np.testing.assert_allclose(result.x, np.tile(x_star, (3, 1)), atol=1e-8)
 
     def test_gradient_norm_meets_tolerance(self, monkeypatch):
         monkeypatch.setattr(numerics, "NEWTON_GRAD_TOL", 1e-9)
@@ -253,98 +276,115 @@ class TestMaximizeConcave:
                 lambda x: b - a @ x,
                 lambda x: -a,
             ),
-            np.zeros(k),
+            np.vstack([np.zeros(k), rng.normal(scale=10.0, size=(2, k))]),
         )
-        assert np.abs(b - a @ result.x).max() <= 1e-9
+        assert np.abs(b - result.x @ a).max() <= 1e-9
 
     def test_non_concave_with_damping_still_ascends(self, monkeypatch):
         monkeypatch.setattr(numerics, "NEWTON_MAX_ITERS", 50)
         # cubic perturbations make the Hessian indefinite in places; every
-        # accepted step must still increase the objective
+        # accepted step of every row must still increase its objective
         rng = np.random.default_rng(5)
         for _ in range(20):
             k = int(rng.integers(2, 5))
-            a = rng.normal(size=k)
-            c = rng.normal(size=k) * 1e-2
+            a = rng.normal(size=(3, k))
+            c = rng.normal(size=(3, k)) * 1e-2
 
-            def f(x):
-                return float(-0.5 * (x - a) @ (x - a) + c @ x**3)
+            def f(row, x):
+                return float(-0.5 * (x - a[row]) @ (x - a[row]) + c[row] @ x**3)
 
-            def grad(x):
-                return -(x - a) + 3 * c * x**2
+            def grad(row, x):
+                return -(x - a[row]) + 3 * c[row] * x**2
 
-            def hess(x):
-                return -np.eye(k) + np.diag(6 * c * x)
+            def hess(row, x):
+                return -np.eye(k) + np.diag(6 * c[row] * x)
 
             objective = CountingObjective(f, grad, hess)
-            result = maximize_concave(objective.evaluate, np.zeros(k))
+            result = maximize_concave(objective.evaluate, np.zeros((3, k)))
             # the driver reads the gradient at the start and at each accepted iterate
-            trace = np.array([objective.points[i].value for i in objective.gradient_reads])
-            assert np.all(np.diff(trace) > 0)
-            assert result.status in ("converged", "max_iters", "line_search_failure")
+            for row in range(3):
+                trace = [objective.points[i].value for i in objective.gradient_reads
+                         if objective.points[i].row == row]
+                assert np.all(np.diff(trace) > 0)
+            assert set(result.status) <= {"converged", "max_iters", "line_search_failure"}
 
     def test_reads_value_at_candidates_and_derivatives_at_iterates(self):
-        # -x^2 / 2 with its curvature understated fourfold: the full step from
-        # x = 1 lands on -3 and the half step on -1, neither higher, so the
-        # quarter step reaches the optimum 0
+        # -x^2 / 2 from x = 1 in both rows. Row 0 sees its curvature
+        # understated fourfold: the full step lands on -3 and the half step on
+        # -1, neither higher, so the quarter step reaches the optimum 0. Row 1
+        # sees the true curvature and takes the full step. Each row keeps its
+        # own step size.
         objective = CountingObjective(
-            lambda x: -0.5 * float(x @ x), lambda x: -x, lambda x: -0.25 * np.eye(1)
+            lambda row, x: -0.5 * float(x @ x),
+            lambda row, x: -x,
+            lambda row, x: -(0.25 if row == 0 else 1.0) * np.eye(1),
         )
-        result = maximize_concave(objective.evaluate, np.ones(1))
-        assert result.status == "converged" and result.iterations == 1
-        # one evaluate per point: the start and three candidates
-        assert [float(p.x[0]) for p in objective.points] == [1.0, -3.0, -1.0, 0.0]
-        assert objective.gradient_reads == [0, 3]  # the start and the accepted iterate
-        assert objective.hessian_reads == [0]  # one per step taken
-        assert result.point is objective.points[3]
-        np.testing.assert_array_equal(result.point.x, result.x)
+        result = maximize_concave(objective.evaluate, np.ones((2, 1)))
+        assert result.status == ["converged", "converged"]
+        assert result.iterations.tolist() == [1, 1]
+        # one evaluate per point: two starts, then the candidates of each round
+        assert [(p.row, float(p.x[0])) for p in objective.points] == [
+            (0, 1.0), (1, 1.0), (0, -3.0), (1, 0.0), (0, -1.0), (0, 0.0)
+        ]
+        assert objective.gradient_reads == [0, 1, 3, 5]  # the starts and the accepted iterates
+        assert objective.hessian_reads == [0, 1]  # one per step taken
+        assert result.point.ids.tolist() == [5, 3]  # row for row
+        np.testing.assert_array_equal(result.x, [[0.0], [0.0]])
 
     def test_reads_one_more_hessian_at_max_iters(self, monkeypatch):
         monkeypatch.setattr(numerics, "NEWTON_MAX_ITERS", 3)
         monkeypatch.setattr(numerics, "NEWTON_GRAD_TOL", 1e-300)
         a = np.full(2, 10.0)
         objective = CountingObjective(
-            lambda x: float(-np.sum(np.cosh(x - a))),
-            lambda x: -np.sinh(x - a),
-            lambda x: -np.diag(np.cosh(x - a)),
+            lambda row, x: float(-np.sum(np.cosh(x - a))),
+            lambda row, x: -np.sinh(x - a),
+            lambda row, x: -np.diag(np.cosh(x - a)),
         )
-        result = maximize_concave(objective.evaluate, np.zeros(2))
-        assert result.status == "max_iters" and result.iterations == 3
+        result = maximize_concave(objective.evaluate, np.zeros((1, 2)))
+        assert result.status == ["max_iters"] and result.iterations.tolist() == [3]
         # every full step is accepted: the start and three iterates, no more
         assert len(objective.points) == 4
         assert objective.gradient_reads == [0, 1, 2, 3]
         assert objective.hessian_reads == [0, 1, 2, 3]  # three steps and the one left at x
-        assert result.point is objective.points[3]
-        np.testing.assert_array_equal(result.point.x, result.x)
+        assert result.point.ids.tolist() == [3]
+        np.testing.assert_array_equal(objective.points[3].x, result.x[0])
 
     def test_converging_on_the_last_allowed_step_is_converged(self, monkeypatch):
         monkeypatch.setattr(numerics, "NEWTON_MAX_ITERS", 1)
         a = np.array([2.0, -1.0, 0.5])
         objective = CountingObjective(
-            lambda x: -0.5 * float((x - a) @ (x - a)), lambda x: a - x, lambda x: -np.eye(3)
+            lambda row, x: -0.5 * float((x - a) @ (x - a)),
+            lambda row, x: a - x,
+            lambda row, x: -np.eye(3),
         )
-        result = maximize_concave(objective.evaluate, np.zeros(3))
-        assert result.status == "converged" and result.converged
-        assert result.iterations == numerics.NEWTON_MAX_ITERS
-        assert result.step_norm == 0.0
+        result = maximize_concave(objective.evaluate, np.zeros((1, 3)))
+        assert result.status == ["converged"] and result.converged.tolist() == [True]
+        assert result.iterations.tolist() == [numerics.NEWTON_MAX_ITERS]
+        assert result.step_norm.tolist() == [0.0]
         assert objective.gradient_reads == [0, 1]
         assert objective.hessian_reads == [0]  # no step is computed at the optimum
-        np.testing.assert_array_equal(result.x, a)
+        np.testing.assert_array_equal(result.x[0], a)
 
     def test_line_search_failure_counts_the_failed_attempt(self):
-        # the gradient claims a rise to the right everywhere, so the step from
-        # the maximizer x = 1 of -(x - 1)^2 finds no higher point at any length
+        # row 0's gradient claims a rise to the right everywhere, so the step
+        # from the maximizer x = 1 of -(x - 1)^2 finds no higher point at any
+        # length; row 1 is an honest -(x - 1)^2 / 2 and converges beside it
         objective = CountingObjective(
-            lambda x: -float((x[0] - 1.0) ** 2), lambda x: np.ones(1), lambda x: -np.eye(1)
+            lambda row, x: -float((x[0] - 1.0) ** 2) / (1 + row),
+            lambda row, x: np.ones(1) if row == 0 else 1.0 - x,
+            lambda row, x: -np.eye(1),
         )
-        result = maximize_concave(objective.evaluate, np.zeros(1))
-        assert result.status == "line_search_failure" and not result.converged
-        assert result.iterations == 2  # the accepted step and the failed attempt
-        np.testing.assert_array_equal(result.x, [1.0])
-        assert result.point is objective.points[1]
-        assert result.step_norm == 1.0  # the step left at x
-        assert objective.gradient_reads == [0, 1]
-        assert objective.hessian_reads == [0, 1]
+        result = maximize_concave(objective.evaluate, np.zeros((2, 1)))
+        assert result.status == ["line_search_failure", "converged"]
+        assert result.converged.tolist() == [False, True]
+        # row 0 counts the accepted step and the failed attempt
+        assert result.iterations.tolist() == [2, 1]
+        np.testing.assert_array_equal(result.x, [[1.0], [1.0]])
+        assert result.point.ids.tolist() == [2, 3]
+        assert result.step_norm.tolist() == [1.0, 0.0]  # the step left at x
+        # row 0 reads at points 0 and 2; row 1 at 1 and 3, then leaves the block
+        assert objective.gradient_reads == [0, 1, 2, 3]
+        assert objective.hessian_reads == [0, 1, 2]
 
     def test_max_iters_returns_best_iterate_with_flag(self, monkeypatch):
         monkeypatch.setattr(numerics, "NEWTON_MAX_ITERS", 1)
@@ -360,16 +400,17 @@ class TestMaximizeConcave:
         def hess(x):
             return -np.diag(np.cosh(x - a))
 
-        result = maximize_concave(points(f, grad, hess), np.zeros(3))
-        assert not result.converged
-        assert result.status == "max_iters"
-        assert f(result.x) > f(np.zeros(3))
+        result = maximize_concave(points(f, grad, hess), np.zeros((1, 3)))
+        assert result.converged.tolist() == [False]
+        assert result.status == ["max_iters"]
+        assert f(result.x[0]) > f(np.zeros(3))
         # the step left at the returned iterate, -hess^-1 grad = tanh(a - x)
-        assert result.step_norm == pytest.approx(np.abs(np.tanh(a - result.x)).max(), rel=1e-12)
+        left = np.abs(np.tanh(a - result.x[0])).max()
+        assert result.step_norm[0] == pytest.approx(left, rel=1e-12)
 
     def test_non_finite_objective_raises(self):
         with pytest.raises(NonFiniteError):
             maximize_concave(
-                points(lambda x: float("nan"), lambda x: -x, lambda x: -np.eye(2)),
-                np.zeros(2),
+                points(lambda x: float("nan") if x[0] else 0.0, lambda x: -x, lambda x: -np.eye(2)),
+                np.array([[0.0, 0.0], [1.0, 0.0]]),
             )

@@ -10,11 +10,13 @@ from phenotopics.corpus import RecordBags
 from phenotopics.learning import BETA_SMOOTHING
 from phenotopics.numerics import softmax
 from phenotopics.variational import (
+    MIN_COLUMN_MASS,
     ModelParams,
     ModeObjective,
     _invert_neg_hessian,
     _laplace_hessian,
     _responsibilities,
+    infer_block,
     infer_document,
 )
 
@@ -52,33 +54,41 @@ class TestModelParams:
 
 
 def objective(params, bags):
-    return ModeObjective(RecordBags("r", tuple(bags)), params)
+    """The mode objective of a block of one record with these bags."""
+    return ModeObjective([RecordBags("r", tuple(bags))], params)
 
 
-def exact_pass(obj, nu):
-    """Value, gradient, Hessian, expected counts and q(z) of ``obj`` at ``nu``,
-    each built from the exact per-bag path (one K x n exponential per bag)."""
+def at(obj, nu, row=0):
+    """``obj``'s evaluation of the record in ``row`` alone, at ``nu``."""
+    return obj.evaluate([row], np.asarray(nu, dtype=float)[None])
+
+
+def exact_pass(obj, row, nu):
+    """Value, gradient, Hessian, expected counts and q(z) of record ``row`` of
+    ``obj`` at ``nu``, each built from the exact per-bag path (one K x n
+    exponential per bag)."""
     params = obj.params
     pi, lse = numerics._log_normalize(nu)
     resp, expected, data = [], [], 0.0
-    for lb, idx, cnt in zip(params.log_beta, obj.indices, obj.counts):
+    for lb, idx, cnt in zip(params.log_beta, obj.indices[row], obj.counts[row]):
         q, e, d = _responsibilities(lb, idx, cnt, nu)
         resp.append(q)
         expected.append(e)
         data += d - cnt.sum() * lse
     expected = np.array(expected)
+    n_total = obj.n_total[row]
     centered = nu - params.mu0
     value = data - 0.5 * centered @ params.sigma0_inv @ centered
-    gradient = expected.sum(axis=0) - obj.n_total * pi - params.sigma0_inv @ centered
-    hessian = np.diag(expected.sum(axis=0)) + _laplace_hessian(pi, obj.n_total, params)
-    for q, cnt in zip(resp, obj.counts):
+    gradient = expected.sum(axis=0) - n_total * pi - params.sigma0_inv @ centered
+    hessian = np.diag(expected.sum(axis=0)) + _laplace_hessian(pi, n_total, params)
+    for q, cnt in zip(resp, obj.counts[row]):
         hessian -= (q * cnt) @ q.T
     return value, gradient, hessian, expected, resp
 
 
 def q_z(record, nu, params):
     """q(z) columns and expected counts of ``record`` at ``nu``, by the exact path."""
-    *_, expected, resp = exact_pass(ModeObjective(record, params), nu)
+    *_, expected, resp = exact_pass(ModeObjective([record], params), 0, nu)
     return resp, expected
 
 
@@ -92,59 +102,66 @@ def laplace_precision(post, params):
 class TestObjective:
     def test_zero_counts_leave_prior_term(self):
         params = make_params([0.0, 0.0], np.eye(2), [np.full((2, 4), 0.25)])
-        assert objective(params, [{}]).evaluate(np.array([3.0, -1.0])).value == pytest.approx(
+        assert at(objective(params, [{}]), [3.0, -1.0]).value[0] == pytest.approx(
             -5.0, abs=1e-12
         )
 
     def test_hand_evaluated_single_count(self):
         # log sum_k exp(0 + log 0.25) - 1 * log 2 = log 0.5 - log 2
         params = make_params([0.0, 0.0], np.eye(2), [np.full((2, 4), 0.25)])
-        value = objective(params, [{0: 1}]).evaluate(np.zeros(2)).value
+        value = at(objective(params, [{0: 1}]), np.zeros(2)).value[0]
         assert value == pytest.approx(-2.0 * math.log(2), abs=1e-12)
 
     def test_matches_independent_reimplementation(self, rng):
         # direct transcription: mixture log likelihood of every token plus the
-        # Gaussian log prior, kept separate on purpose
+        # Gaussian log prior, kept separate on purpose; ten records in one
+        # block, each at its own point
         for _ in range(10):
             k = int(rng.integers(2, 6))
             params = random_params(rng, k, [7, 4])
-            record = random_record(rng, params, [15, 6])
-            nu = rng.normal(size=k)
-            pi = np.exp(nu) / np.exp(nu).sum()
-            expected = -0.5 * (nu - params.mu0) @ np.linalg.inv(params.sigma0) @ (
-                nu - params.mu0
-            )
-            for bag, lb in zip(record.bags, params.log_beta):
-                for v, c in bag.items():
-                    expected += c * np.log(pi @ np.exp(lb[:, v]))
-            value = ModeObjective(record, params).evaluate(nu).value
-            assert value == pytest.approx(expected, rel=1e-9)
+            records = [random_record(rng, params, [15, 6]) for _ in range(10)]
+            nu = rng.normal(size=(10, k))
+            values = ModeObjective(records, params).evaluate(np.arange(10), nu).value
+            for record, point, value in zip(records, nu, values):
+                pi = np.exp(point) / np.exp(point).sum()
+                expected = -0.5 * (point - params.mu0) @ np.linalg.inv(params.sigma0) @ (
+                    point - params.mu0
+                )
+                for bag, lb in zip(record.bags, params.log_beta):
+                    for v, c in bag.items():
+                        expected += c * np.log(pi @ np.exp(lb[:, v]))
+                assert value == pytest.approx(expected, rel=1e-9)
 
 
 class TestGradient:
     def test_stationary_at_prior_mean_without_data(self, rng):
         params = random_params(rng, 3, [5])
         np.testing.assert_allclose(
-            objective(params, [{}]).evaluate(params.mu0).gradient(), np.zeros(3), atol=1e-12
+            at(objective(params, [{}]), params.mu0).gradient(), np.zeros((1, 3)), atol=1e-12
         )
 
     def test_hand_evaluated(self):
         # q(z) of token 0 at nu=0 is (0.75, 0.25): expected counts (3, 1)
         # minus N pi = (2, 2), with no prior pull at the prior mean
         params = make_params([0.0, 0.0], np.eye(2), [[[0.75, 0.25], [0.25, 0.75]]])
-        grad = objective(params, [{0: 4}]).evaluate(np.zeros(2)).gradient()
-        np.testing.assert_allclose(grad, [1.0, -1.0], atol=1e-12)
+        grad = at(objective(params, [{0: 4}]), np.zeros(2)).gradient()
+        np.testing.assert_allclose(grad, [[1.0, -1.0]], atol=1e-12)
 
     def test_matches_finite_differences(self, rng):
+        # every row of a 20-record block against central differences of its value
         worst = 0.0
         for k in (2, 5, 25):
-            for _ in range(20):
-                params = random_params(rng, k, [9])
-                obj = ModeObjective(random_record(rng, params, [int(rng.integers(1, 60))]), params)
-                nu = rng.normal(scale=2.0, size=k)
-                grad = obj.evaluate(nu).gradient()
-                approx = finite_difference_gradient(lambda x: obj.evaluate(x).value, nu, 1e-6)
-                rel = np.abs(grad - approx).max() / max(1.0, np.abs(approx).max())
+            params = random_params(rng, k, [9])
+            obj = ModeObjective(
+                [random_record(rng, params, [int(rng.integers(1, 60))]) for _ in range(20)], params
+            )
+            nu = rng.normal(scale=2.0, size=(20, k))
+            grad = obj.evaluate(np.arange(20), nu).gradient()
+            for row in range(20):
+                approx = finite_difference_gradient(
+                    lambda x: at(obj, x, row).value[0], nu[row], 1e-6
+                )
+                rel = np.abs(grad[row] - approx).max() / max(1.0, np.abs(approx).max())
                 worst = max(worst, rel)
         assert worst <= 1e-5
 
@@ -153,34 +170,37 @@ class TestHessian:
     def test_no_data_reduces_to_prior_precision(self, rng):
         params = random_params(rng, 4, [5])
         np.testing.assert_allclose(
-            objective(params, [{}]).evaluate(rng.normal(size=4)).hessian(),
+            at(objective(params, [{}]), rng.normal(size=4)).hessian()[0],
             -params.sigma0_inv,
             atol=1e-12,
         )
 
     def test_matches_finite_difference_jacobian(self, rng):
         worst = 0.0
-        for _ in range(20):
+        for _ in range(4):
             k = int(rng.integers(2, 8))
             params = random_params(rng, k, [6, 4])
-            obj = ModeObjective(random_record(rng, params, [30, 10]), params)
-            nu = rng.normal(size=k)
-            approx = fd_jacobian(lambda x: obj.evaluate(x).gradient(), nu, 1e-5)
-            worst = max(worst, np.abs(obj.evaluate(nu).hessian() - approx).max())
+            obj = ModeObjective([random_record(rng, params, [30, 10]) for _ in range(5)], params)
+            nu = rng.normal(size=(5, k))
+            hess = obj.evaluate(np.arange(5), nu).hessian()
+            for row in range(5):
+                approx = fd_jacobian(lambda x: at(obj, x, row).gradient()[0], nu[row], 1e-5)
+                worst = max(worst, np.abs(hess[row] - approx).max())
         assert worst <= 1e-4
 
     def test_symmetric_and_negated_pd(self, rng):
         # g itself is not concave (its data term is convex); the Laplace part
         # whose inverse gives the posterior covariance is
-        for _ in range(20):
+        for _ in range(4):
             k = int(rng.integers(2, 8))
             params = random_params(rng, k, [6])
-            nu = rng.normal(scale=3.0, size=k)
-            hess = ModeObjective(random_record(rng, params, [50]), params).evaluate(nu).hessian()
-            assert np.abs(hess - hess.T).max() <= 1e-12 * max(1.0, np.abs(hess).max())
-            laplace = _laplace_hessian(softmax(nu), 50.0, params)
-            assert np.abs(laplace - laplace.T).max() <= 1e-12
-            np.linalg.cholesky(-laplace)  # raises if not PD
+            nu = rng.normal(scale=3.0, size=(5, k))
+            obj = ModeObjective([random_record(rng, params, [50]) for _ in range(5)], params)
+            for hess in obj.evaluate(np.arange(5), nu).hessian():
+                assert np.abs(hess - hess.T).max() <= 1e-12 * max(1.0, np.abs(hess).max())
+            for laplace in _laplace_hessian(softmax(nu.T).T, np.full(5, 50.0), params):
+                assert np.abs(laplace - laplace.T).max() <= 1e-12
+                np.linalg.cholesky(-laplace)  # raises if not PD
 
 
 def near_smoothing_params(rng, k, vocab_sizes):
@@ -195,43 +215,53 @@ def near_smoothing_params(rng, k, vocab_sizes):
 
 
 class TestFactoredPass:
-    """ModeObjective's factored evaluation against the exact per-bag path."""
+    """ModeObjective's factored evaluation against the exact per-bag path, row by row."""
 
     def assert_matches_exact(self, objective, nu, rel=1e-12):
-        value, gradient, hessian, expected, resp = exact_pass(objective, nu)
-        point = objective.evaluate(nu)
-        scale = max(1.0, objective.n_total)
-        assert abs(point.value - value) <= rel * max(1.0, abs(value))
-        assert np.abs(point.gradient() - gradient).max() <= rel * scale
-        assert np.abs(point.hessian() - hessian).max() <= rel * scale
-        assert np.abs(point.expected - expected).max() <= rel * scale
-        for q, q_exact in zip(point.responsibilities(), resp):
-            assert q.shape == q_exact.shape
-            assert np.abs(q - q_exact).max(initial=0.0) <= rel
+        rows = np.arange(len(nu))
+        point = objective.evaluate(rows, nu)
+        gradients, hessians = point.gradient(), point.hessian()
+        for row in rows:
+            value, gradient, hessian, expected, resp = exact_pass(objective, row, nu[row])
+            scale = max(1.0, objective.n_total[row])
+            assert abs(point.value[row] - value) <= rel * max(1.0, abs(value))
+            assert np.abs(gradients[row] - gradient).max() <= rel * scale
+            assert np.abs(hessians[row] - hessian).max() <= rel * scale
+            assert np.abs(point.expected[row] - expected).max() <= rel * scale
+            for q, q_exact in zip(point.responsibilities(row), resp):
+                assert q.shape == q_exact.shape
+                assert np.abs(q - q_exact).max(initial=0.0) <= rel
 
     @pytest.mark.parametrize("k", [2, 6, 50])
     def test_matches_exact_path(self, rng, k):
         for _ in range(10):
             params = near_smoothing_params(rng, k, [40, 25, 12])
-            lengths = [int(n) for n in rng.integers(0, 120, size=3)]
-            obj = ModeObjective(random_record(rng, params, lengths), params)
+            records = [
+                random_record(rng, params, [int(n) for n in rng.integers(0, 120, size=3)])
+                for _ in range(3)
+            ]
+            obj = ModeObjective(records, params)
             for scale in (0.5, 3.0):
-                self.assert_matches_exact(obj, rng.normal(scale=scale, size=k))
+                self.assert_matches_exact(obj, rng.normal(scale=scale, size=(3, k)))
 
     def test_underflowing_column_takes_exact_path(self):
         # token 0 of type 0 has non-negligible mass only under phenotype 1,
         # whose proportion underflows at nu_1 = -750: its column mass pi @ B
-        # is 0, and the factored log would be -inf. Type 1 stays factored.
+        # is 0, and the factored log would be -inf. Type 1 stays factored, and
+        # so does the second record of the block, at an ordinary point.
         tiny_row = [-1000.0, 0.0]
         log_beta = [np.array([tiny_row, np.log([0.5, 0.5]), tiny_row]),
                     np.log(np.full((3, 4), 0.25))]
         params = ModelParams.create(np.zeros(3), np.eye(3), log_beta)
-        obj = objective(params, [{0: 3, 1: 2}, {2: 5}])
-        nu = np.array([0.0, -750.0, 0.0])
-        point = obj.evaluate(nu)
+        obj = ModeObjective(
+            [RecordBags("r", ({0: 3, 1: 2}, {2: 5})), RecordBags("s", ({0: 1, 1: 4}, {0: 2}))],
+            params,
+        )
+        nu = np.array([[0.0, -750.0, 0.0], [0.3, -0.2, 0.1]])
+        point = obj.evaluate(np.arange(2), nu)
         assert np.all(np.isfinite(point.hessian()))
-        assert np.isfinite(point.value)
-        assert point.responsibilities()[0][1, 0] == pytest.approx(1.0, rel=1e-12)
+        assert np.all(np.isfinite(point.value))
+        assert point.responsibilities(0)[0][1, 0] == pytest.approx(1.0, rel=1e-12)
         self.assert_matches_exact(obj, nu)
 
 
@@ -252,7 +282,7 @@ class TestUpdateQNu:
         post = infer_document(record, params)
         assert post.converged
         assert post.nu_hat[0] > post.nu_hat[1]
-        assert np.abs(ModeObjective(record, params).evaluate(post.nu_hat).gradient()).max() <= 1e-6
+        assert np.abs(at(ModeObjective([record], params), post.nu_hat).gradient()).max() <= 1e-6
 
     def test_symmetric_counts_give_symmetric_mode(self):
         # swapping phenotypes 0 and 1 together with tokens 0 and 1 maps the
@@ -388,7 +418,7 @@ class TestInferDocument:
             record = random_record(rng, params, [int(rng.integers(0, 80)), 9])
             post = infer_document(record, params)
             assert post.converged
-            gradient = ModeObjective(record, params).evaluate(post.nu_hat).gradient()
+            gradient = at(ModeObjective([record], params), post.nu_hat).gradient()
             assert np.abs(gradient).max() <= 1e-6
             s = post.expected_counts.sum(axis=0)
             q_nu_grad = s - s.sum() * softmax(post.nu_hat) - np.linalg.solve(
@@ -406,7 +436,7 @@ class TestInferDocument:
         bag = {v: int(c) * 10**6 for v, c in enumerate(rng.integers(1, 10, size=8))}
         record = RecordBags("r", (bag,))
         post = infer_document(record, params)
-        assert np.abs(ModeObjective(record, params).evaluate(post.nu_hat).gradient()).max() > 1e-6
+        assert np.abs(at(ModeObjective([record], params), post.nu_hat).gradient()).max() > 1e-6
         assert post.converged
 
     def test_newton_cap_with_large_step_is_unconverged(self, monkeypatch):
@@ -467,3 +497,80 @@ class TestDocPosteriorInvariants:
             post = infer_document(random_record(rng, params, [n_tokens]), params)
             sizes.append(sum(v.nbytes for v in vars(post).values() if isinstance(v, np.ndarray)))
         assert sizes[0] == sizes[1]
+
+
+def mixed_block(rng, k):
+    """Params and one record of each kind a block must keep apart, at K = k.
+
+    Type 0 gives token 0 to phenotype 1 alone (log beta -1000 elsewhere);
+    type 1 is random over 2K tokens. The records are an empty one, three
+    ordinary ones, a record whose token 0 sits under an underflowing phenotype
+    1 at its start (column mass below MIN_COLUMN_MASS), a record of 10**12
+    tokens whose gradient cannot resolve below Newton's tolerance, so that
+    float rounding of its value stops the line search, and one that starts
+    far from its mode.
+    """
+    shared = np.log(np.full(3, 1.0 / 3.0))
+    type0 = np.array([[-1000.0, *shared]] * k)
+    type0[1] = np.log([0.5, 0.5 / 3, 0.5 / 3, 0.5 / 3])
+    type1 = rng.dirichlet(np.full(2 * k, 0.5), size=k)
+    root = rng.normal(size=(k, k)) / np.sqrt(k)
+    params = ModelParams.create(rng.normal(size=k) * 0.5, root @ root.T + 0.5 * np.eye(k),
+                                [type0, np.log(type1)])
+    heavy = np.rint(1e12 * softmax(rng.normal(size=k)) @ type1).astype(int)
+    records = {
+        "empty": RecordBags("e", ({}, {})),
+        "underflow": RecordBags("u", ({0: 3, 1: 2}, {2: 5})),
+        "float-floor": RecordBags("f", ({}, {v: int(c) for v, c in enumerate(heavy) if c})),
+        "far": RecordBags("far", ({1: 400}, {0: 400, 1: 300})),
+    }
+    for d in range(3):
+        records[f"o{d}"] = RecordBags(f"o{d}", (
+            {int(v): 2 for v in rng.integers(1, 4, size=3)},
+            {int(v): 1 + d for v in rng.integers(0, 2 * k, size=6)},
+        ))
+    starts = {name: params.mu0 for name in records}
+    starts["underflow"] = np.where(np.arange(k) == 1, -750.0, 0.0)
+    starts["far"] = np.where(np.arange(k) % 2, 50.0, -50.0)
+    return params, records, starts
+
+
+class TestBlock:
+    """A record's ascent inside a block is its ascent alone."""
+
+    @pytest.mark.parametrize("k", [2, 6, 50])
+    def test_records_in_a_block_match_their_lone_inference(self, rng, k, monkeypatch):
+        params, records, starts = mixed_block(rng, k)
+        # start the ordinary and float-floor records where they stop alone,
+        # so that under a budget of three iterations they stop by their own
+        # rule while "far" runs out of iterations
+        for name in ("float-floor", "o0", "o1", "o2"):
+            starts[name] = infer_document(records[name], params, starts[name]).nu_hat
+        monkeypatch.setattr(numerics, "NEWTON_MAX_ITERS", 3)
+        names = list(records)
+        block = ModeObjective([records[name] for name in names], params)
+        together = numerics.maximize_concave(block.evaluate, [starts[name] for name in names])
+        lone = {
+            name: numerics.maximize_concave(
+                ModeObjective([records[name]], params).evaluate, [starts[name]]
+            )
+            for name in names
+        }
+        for row, name in enumerate(names):
+            assert together.status[row] == lone[name].status[0], name
+            assert together.iterations[row] == lone[name].iterations[0], name
+            assert np.abs(together.x[row] - lone[name].x[0]).max() <= 1e-6, name
+        status = dict(zip(names, together.status))
+        assert status["empty"] == status["o0"] == status["o1"] == status["o2"] == "converged"
+        assert status["far"] == "max_iters"
+        assert status["float-floor"] == "line_search_failure"
+        # the underflowing record starts on the exact path
+        mass = softmax(starts["underflow"]) @ np.exp(params.log_beta[0][:, 0])
+        assert mass < MIN_COLUMN_MASS
+
+        posteriors, _ = infer_block([records[name] for name in names], params,
+                                    [starts[name] for name in names])
+        for post, name in zip(posteriors, names):
+            alone = infer_document(records[name], params, starts[name])
+            assert post.converged == alone.converged
+            assert np.abs(post.nu_hat - alone.nu_hat).max() <= 1e-6
