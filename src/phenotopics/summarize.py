@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .learning import TrainedModel
+from .learning import TrainedModel, _blocks
 from .variational import infer_block
 
 # Emitted sankey documents follow this structure; nodes exist for every
@@ -75,8 +75,11 @@ class SummaryTrajectory:
 
 
 def summarize_record(segments, model: TrainedModel, top_n: int = 5) -> SummaryTrajectory:
-    """Infer the segments under frozen params, as one block, and track the top-N phenotypes.
+    """Infer the segments under frozen params and track the top-N phenotypes.
 
+    The segments are inferred a block at a time, cut as the E-step cuts a
+    corpus (``learning.BLOCK_TOKENS``), so a patient with few segments is one
+    block and a long history does not hold all its beta columns at once.
     Selection uses the final (most recent) bin's proportions, ties broken by
     phenotype index; trajectories are then reported for every bin. Segments
     must share one record_id and reference the model's vocabularies.
@@ -90,7 +93,9 @@ def summarize_record(segments, model: TrainedModel, top_n: int = 5) -> SummaryTr
     if any(seg.record_id != record_id for seg in segments):
         raise ValueError("segments must share one record_id")
 
-    posteriors, _ = infer_block(segments, model.params)
+    posteriors = []
+    for start, stop in _blocks(segments):
+        posteriors += infer_block(segments[start:stop], model.params)[0]
     proportions = np.stack([post.proportions for post in posteriors])
     bins = [
         seg.time_bin if seg.time_bin is not None else str(pos)

@@ -142,8 +142,8 @@ class Scenario:
 
     def build_truth(self) -> ModelParams:
         """Every type gets the same K x V block topics, built once and shared,
-        so the first step whose size grows with M is one list of M references
-        (an M past memory raises MemoryError there, at once)."""
+        so the only step whose size grows with M is one list of M references
+        (``MAX_TOPIC_ENTRIES`` bounds M x K x V before this runs)."""
         k, v = self.K, self.vocab_size
         width = v // k + self.block_overlap
         rows = np.full((k, v), (1.0 - self.block_mass) / v)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phenotopics import learning
 from phenotopics.corpus import RecordBags, Vocabulary
 from phenotopics.summarize import (
     SANKEY_SCHEMA,
@@ -111,6 +112,21 @@ class TestSummarizeRecord:
             top_n=1,
         )
         assert traj.bins == ["0", "later"]
+
+    def test_segments_past_the_block_cap_match_one_block(self, block_model, monkeypatch):
+        segments = [
+            segment("p", {0: 6, 3: 1}, "a"),
+            segment("p", {2: 4, 5: 2, 1: 1}, "b"),
+            segment("p", {}, "c"),
+            segment("p", {4: 9}, "d"),
+        ]
+        whole = summarize_record(segments, block_model, top_n=2)
+        monkeypatch.setattr(learning, "BLOCK_TOKENS", 2)
+        assert len(learning._blocks(segments)) == 3
+        cut = summarize_record(segments, block_model, top_n=2)
+        assert cut.selected == whole.selected
+        np.testing.assert_allclose(cut.salience, whole.salience, rtol=0, atol=1e-9)
+        assert cut.nonconverged_segments == whole.nonconverged_segments == 0
 
 
 class TestCoverageCount:

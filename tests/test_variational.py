@@ -148,21 +148,25 @@ class TestGradient:
         np.testing.assert_allclose(grad, [[1.0, -1.0]], atol=1e-12)
 
     def test_matches_finite_differences(self, rng):
-        # every row of a 20-record block against central differences of its value
+        # every row of a block of 2 to 5 records against central differences
+        # of its value, with 20 parameter draws per K
         worst = 0.0
         for k in (2, 5, 25):
-            params = random_params(rng, k, [9])
-            obj = ModeObjective(
-                [random_record(rng, params, [int(rng.integers(1, 60))]) for _ in range(20)], params
-            )
-            nu = rng.normal(scale=2.0, size=(20, k))
-            grad = obj.evaluate(np.arange(20), nu).gradient()
-            for row in range(20):
-                approx = finite_difference_gradient(
-                    lambda x: at(obj, x, row).value[0], nu[row], 1e-6
+            for _ in range(20):
+                params = random_params(rng, k, [9])
+                n = int(rng.integers(2, 6))
+                obj = ModeObjective(
+                    [random_record(rng, params, [int(rng.integers(1, 60))]) for _ in range(n)],
+                    params,
                 )
-                rel = np.abs(grad[row] - approx).max() / max(1.0, np.abs(approx).max())
-                worst = max(worst, rel)
+                nu = rng.normal(scale=2.0, size=(n, k))
+                grad = obj.evaluate(np.arange(n), nu).gradient()
+                for row in range(n):
+                    approx = finite_difference_gradient(
+                        lambda x: at(obj, x, row).value[0], nu[row], 1e-6
+                    )
+                    rel = np.abs(grad[row] - approx).max() / max(1.0, np.abs(approx).max())
+                    worst = max(worst, rel)
         assert worst <= 1e-5
 
 
@@ -177,13 +181,14 @@ class TestHessian:
 
     def test_matches_finite_difference_jacobian(self, rng):
         worst = 0.0
-        for _ in range(4):
+        for _ in range(20):
             k = int(rng.integers(2, 8))
             params = random_params(rng, k, [6, 4])
-            obj = ModeObjective([random_record(rng, params, [30, 10]) for _ in range(5)], params)
-            nu = rng.normal(size=(5, k))
-            hess = obj.evaluate(np.arange(5), nu).hessian()
-            for row in range(5):
+            n = int(rng.integers(2, 6))
+            obj = ModeObjective([random_record(rng, params, [30, 10]) for _ in range(n)], params)
+            nu = rng.normal(size=(n, k))
+            hess = obj.evaluate(np.arange(n), nu).hessian()
+            for row in range(n):
                 approx = fd_jacobian(lambda x: at(obj, x, row).gradient()[0], nu[row], 1e-5)
                 worst = max(worst, np.abs(hess[row] - approx).max())
         assert worst <= 1e-4
@@ -191,14 +196,15 @@ class TestHessian:
     def test_symmetric_and_negated_pd(self, rng):
         # g itself is not concave (its data term is convex); the Laplace part
         # whose inverse gives the posterior covariance is
-        for _ in range(4):
+        for _ in range(20):
             k = int(rng.integers(2, 8))
             params = random_params(rng, k, [6])
-            nu = rng.normal(scale=3.0, size=(5, k))
-            obj = ModeObjective([random_record(rng, params, [50]) for _ in range(5)], params)
-            for hess in obj.evaluate(np.arange(5), nu).hessian():
+            n = int(rng.integers(2, 6))
+            nu = rng.normal(scale=3.0, size=(n, k))
+            obj = ModeObjective([random_record(rng, params, [50]) for _ in range(n)], params)
+            for hess in obj.evaluate(np.arange(n), nu).hessian():
                 assert np.abs(hess - hess.T).max() <= 1e-12 * max(1.0, np.abs(hess).max())
-            for laplace in _laplace_hessian(softmax(nu.T).T, np.full(5, 50.0), params):
+            for laplace in _laplace_hessian(softmax(nu.T).T, np.full(n, 50.0), params):
                 assert np.abs(laplace - laplace.T).max() <= 1e-12
                 np.linalg.cholesky(-laplace)  # raises if not PD
 
