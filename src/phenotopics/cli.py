@@ -375,7 +375,8 @@ def _apply_config_file(commands, argv):
     try:
         with open(known.config, encoding="utf-8") as fh:
             defaults = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8, or an over-long int
+    # ValueError: bad JSON or UTF-8, or an over-long int; RecursionError: nested too deep
+    except (OSError, RecursionError, ValueError) as exc:
         raise _CliError(EXIT_IO, f"cannot load config file: {exc}")
     if not isinstance(defaults, dict):
         raise _CliError(EXIT_IO, "config file must hold a JSON object of flag defaults")

@@ -174,7 +174,7 @@ def read_records_jsonl(path, vocabularies) -> Corpus:
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise CorpusError(f"records line {line_no}: invalid JSON ({exc.msg})") from exc
-                except ValueError as exc:  # an integer literal too long to convert
+                except (RecursionError, ValueError) as exc:  # too deep, or an over-long int
                     raise CorpusError(f"records line {line_no}: {exc}") from exc
                 rec = _parse_record(obj, vocabularies, lookups, line_no)
                 key = (rec.record_id, rec.time_bin)
@@ -202,7 +202,7 @@ def load_corpus(path) -> Corpus:
             raw_vocab = json.load(fh)
     except json.JSONDecodeError as exc:
         raise CorpusError(f"{vocab_path}: invalid JSON at line {exc.lineno}") from exc
-    except ValueError as exc:  # not UTF-8, or an integer literal too long to convert
+    except (RecursionError, ValueError) as exc:  # not UTF-8, too deep, or an over-long int
         raise CorpusError(f"{vocab_path}: {exc}") from exc
     return read_records_jsonl(records_path, _parse_vocabularies(raw_vocab))
 

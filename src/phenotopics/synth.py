@@ -21,7 +21,6 @@ import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .corpus import MAX_COUNT, Corpus, RecordBags, Vocabulary
 from .learning import TrainedModel
@@ -217,7 +216,7 @@ def load_scenario(path) -> Scenario:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except ValueError as exc:  # bad JSON or UTF-8, or an over-long int
+    except (RecursionError, ValueError) as exc:  # bad JSON or UTF-8, too deep, or an over-long int
         raise ScenarioFormatError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioFormatError(f"{path}: expected a JSON object")
@@ -295,6 +294,10 @@ def sample_scenario(scenario: Scenario, seed: int):
 
 
 def _min_assignment_cost(cost: np.ndarray) -> float:
+    # imported here, not at the top: only eval matches phenotypes, and the
+    # import would cost every other command about 0.1 s of CPU and 20 MB
+    import scipy.optimize
+
     rows, cols = scipy.optimize.linear_sum_assignment(cost)
     return float(cost[rows, cols].sum())
 

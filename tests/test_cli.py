@@ -28,6 +28,10 @@ from phenotopics.synth import Scenario, save_scenario
 from .conftest import two_block_corpus
 
 
+# deeper than json's recursion limit allows
+DEEPLY_NESTED = "[" * 5000 + "]" * 5000
+
+
 def _set_dx_tokens(payload, tokens):
     """Replace a model payload's dx token list and store the fingerprint of
     the tokens as stored, so that a load gets past the fingerprint check."""
@@ -123,6 +127,32 @@ class TestTrain:
         assert code == 2
         assert "no tokens" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command, name, content",
+        [
+            ("train", "records.jsonl", b'{"id": "p1", "bags": {"dx": {"w0": ' + b"9" * 5000
+             + b"}}}\n"),
+            ("train", "records.jsonl", b"\xff\xfe\n"),
+            ("train", "records.jsonl", DEEPLY_NESTED.encode() + b"\n"),
+            ("coverage", "vocab.json", b'{"dx": ["w0", ' + b"9" * 5000 + b"]}"),
+            ("coverage", "vocab.json", b"\xff\xfe{}"),
+            ("coverage", "vocab.json", DEEPLY_NESTED.encode()),
+        ],
+        ids=["records-huge-int", "records-not-utf8", "records-deeply-nested",
+             "vocab-huge-int", "vocab-not-utf8", "vocab-deeply-nested"],
+    )
+    def test_corpus_file_that_does_not_parse_is_io_error(
+        self, trained, tmp_path, capsys, command, name, content
+    ):
+        corpus = tmp_path / "bad_corpus"
+        save_corpus(two_block_corpus(), corpus)
+        (corpus / name).write_bytes(content)
+        flags = {"train": ["--k", "2", "--seed", "0"],
+                 "coverage": ["--model", str(trained / "model.json")]}[command]
+        code = main([command, "--corpus", str(corpus), *flags, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_non_convergence_exits_3_but_writes_model(self, corpus_dir, tmp_path):
         out = tmp_path / "short"
         code = main(
@@ -186,8 +216,9 @@ class TestTrain:
             ("train", '{"help": true}', 1),
             ("train", '{"max_em_iters": ' + "9" * 5000 + "}", 2),
             ("train", b"\xff\xfe{}", 2),
+            ("train", DEEPLY_NESTED, 2),
         ],
-        ids=["null-int", "float-for-int", "help-key", "huge-int", "not-utf8"],
+        ids=["null-int", "float-for-int", "help-key", "huge-int", "not-utf8", "deeply-nested"],
     )
     def test_bad_config_value_exits_without_traceback(
         self, trained, corpus_dir, tmp_path, capsys, command, text, expected
@@ -385,6 +416,22 @@ class TestPhenotypes:
         )
         assert code == 2
 
+    def test_model_nested_past_the_c_stack_exits_2(self, tmp_path):
+        # parsed by orjson, these 200,000 levels would overflow an 8 MB C stack
+        # and kill the process, so the load runs in a child
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 200_000 + "]" * 200_000)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        child = f"import sys; sys.path.insert(0, {src!r}); from phenotopics.cli import main; " \
+                "sys.exit(main())"
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "phenotypes", "--model", str(bad), "--label-type", "dx",
+             "--out", str(tmp_path / "p")],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+
     def test_tiny_prior_variances_give_valid_json_edges(self, trained, tmp_path):
         # d_i d_j underflows to 0 here, which once wrote "rho": Infinity
         payload = json.loads((trained / "model.json").read_text())
@@ -428,21 +475,32 @@ class TestPhenotypes:
             (lambda p: _set_dx_tokens(p, [1, 2, 3, 4, 5, 6]), 2),
             (lambda p: _set_dx_tokens(p, [True, False, None, 1.5, "a", "b"]), 2),
             (lambda p: _set_dx_tokens(p, "abcdef"), 2),
+            (lambda p: p["history"].append(float("nan")), 2),  # json reads all three
+            (lambda p: p["history"].append(float("inf")), 2),
+            (lambda p: p["history"].append("<1e400>"), 2),
+            (lambda p: p.update(K=2**64 + 2), 2),  # orjson reads it as a float
+            (lambda p: p.update(mu0="<deep>"), 2),
         ],
         ids=["sigma0-not-pd", "sigma0-asymmetric", "row-sum", "mu0-short", "huge-K", "infinite-K",
              "vocabularies-list", "history-int", "fingerprint-int", "fractional-K",
              "config-K-differs", "M-differs", "history-string", "converged-string",
              "mu0-scalar", "empty-vocabulary", "config-seed-string", "config-seed-negative",
              "config-update-prior-string", "config-max-em-iters-fractional",
-             "config-em-tol-bool", "tokens-ints", "tokens-mixed", "tokens-string"],
+             "config-em-tol-bool", "tokens-ints", "tokens-mixed", "tokens-string",
+             "nan-literal", "infinity-literal", "overflowing-literal", "K-past-64-bits",
+             "deeply-nested"],
     )
     def test_model_that_is_not_a_model_exits_without_traceback(
         self, trained, tmp_path, capsys, corrupt, expected
     ):
         payload = json.loads((trained / "model.json").read_text())
         corrupt(payload)
+        text = json.dumps(payload)
+        for placeholder, literal in [("<huge>", "9" * 5000), ("<1e400>", "1e400"),
+                                     ("<deep>", DEEPLY_NESTED)]:
+            text = text.replace(f'"{placeholder}"', literal)
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(payload).replace('"<huge>"', "9" * 5000))
+        bad.write_text(text)
         code = main(
             ["phenotypes", "--model", str(bad), "--label-type", "dx",
              "--out", str(tmp_path / "p")]
@@ -699,9 +757,11 @@ class TestEval:
              b' "sigma0_pairs": [[0, 1, 2.0]]}', 1),
             (b'{"name": "x", "K": 2, "M": 1, "vocab_size": 6, "D": 3, "tokens_per_type": 1'
              + b"0" * 30 + b"}", 1),
+            (DEEPLY_NESTED.encode(), 2),
         ],
         ids=["not-utf8", "huge-int", "list", "truncated", "float-K", "missing-K", "unknown-key",
-             "short-pair", "one-phenotype", "sigma0-indefinite", "tokens-past-max-count"],
+             "short-pair", "one-phenotype", "sigma0-indefinite", "tokens-past-max-count",
+             "deeply-nested"],
     )
     def test_malformed_scenario_exits_without_traceback(
         self, tmp_path, capsys, content, expected

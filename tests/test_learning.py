@@ -2,9 +2,13 @@
 
 import json
 import math
+import tempfile
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from phenotopics import learning
 from phenotopics.corpus import Corpus, RecordBags, Vocabulary
@@ -12,6 +16,7 @@ from phenotopics.learning import (
     FingerprintError,
     ModelFormatError,
     TrainConfig,
+    TrainedModel,
     _blocks,
     _e_step,
     attach_posteriors,
@@ -350,7 +355,159 @@ class TestBlocks:
         assert _blocks([]) == []
 
 
+def _model(mu0, variances, history=(), config=None):
+    """A one-type model over tokens ``a``, ``b`` with uniform topic rows."""
+    vocabularies = (Vocabulary("dx", ("a", "b")),)
+    k = len(mu0)
+    params = ModelParams.create(
+        np.asarray(mu0, dtype=float), np.diag(variances), [np.log(np.full((k, 2), 0.5))]
+    )
+    return TrainedModel(
+        params=params,
+        vocabularies=vocabularies,
+        doc_posteriors=[],
+        history=list(history),
+        config=config or TrainConfig(K=k),
+        vocab_fingerprint=vocab_fingerprint(vocabularies),
+    )
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()  # tells -0.0 from 0.0
+
+
+# Decimals that a parser reads wrongly if it rounds imperfectly: long exact
+# expansions, halfway cases, non-shortest forms and binary64's boundaries.
+HARD_DECIMALS = [
+    "0.1000000000000000055511151231257827021181583404541015625",  # 0.1 exactly
+    "1.00000000000000011102230246251565404236316680908203125",  # halfway: to even, 1.0
+    "1.000000000000000111022302462515654042363166809082031250000000001",  # past halfway
+    "0.30000000000000001",
+    "123456789012345678901234567890e-20",
+    "2.2250738585072011e-308",
+    "2.2250738585072012e-308",
+    "4.9406564584124654e-324",  # the least subnormal
+    "2.4703282292062328e-324",  # just over half of it: up to the least subnormal
+    "2.4703282292062327e-324",  # just under: down to zero
+    "1.7976931348623157e308",  # the greatest double
+    "1.7976931348623158079e308",  # just under the midpoint to 2**1024
+    "-0.0",
+    "9007199254740993",  # 2**53 + 1, as an integer literal
+]
+
+
+def _hand_written_model(mu0, tokens=("a", "b"), history="[]"):
+    """Model file text with ``mu0``'s and the other numbers' literals as given."""
+    k = len(mu0)
+    vocabularies = (Vocabulary("dx", tuple(tokens)),)
+    one = HARD_DECIMALS[1]
+    log_half = "-0.69314718055994528622676398299518041312694549560546875"
+    return (
+        f'{{"format_version": 1, "K": {k}, "M": 1,'
+        f' "vocab_fingerprint": "{vocab_fingerprint(vocabularies)}",'
+        f' "vocabularies": {{"dx": {json.dumps(list(tokens))}}},'
+        f' "mu0": [{", ".join(mu0)}],'
+        f' "sigma0": [{", ".join(one if i == j else "0" for i in range(k) for j in range(k))}],'
+        f' "log_beta": {{"dx": [{", ".join([log_half] * k * len(tokens))}]}},'
+        f' "config": {json.dumps(asdict(TrainConfig(K=k)))}, "converged": false,'
+        f' "history": {history}}}\n'
+    )
+
+
+# a token of that many brackets sends a file past orjson to json
+FALLBACK_TOKENS = ("a", "[" * (learning._ORJSON_MAX_OPENERS + 1))
+
+
+_JSON_TEXT = st.text(
+    alphabet=st.sampled_from('[]{}",:\\ \n\t15.e-a') | st.characters(blacklist_categories=("Cs",)),
+    max_size=8,
+)
+# what json.loads can return and orjson reads alike: no int of 64 bits or more
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**63), 2**64 - 1)
+    | st.floats(allow_nan=False, allow_infinity=False) | _JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=25,
+)
+
+
 class TestModelIO:
+    @settings(max_examples=300, deadline=None)
+    @given(doc=_JSON_VALUES, indent=st.sampled_from([None, 1]))
+    @example(doc={"tokens": ["[1, 2]", "a[", "]"], "mu0": [[1.5, [2]], [3], [], [-0.0, True]]},
+             indent=None)
+    def test_model_json_parses_as_json_does(self, doc, indent):
+        text = json.dumps(doc, ensure_ascii=False, indent=indent)
+        # repr tells 1 from 1.0 and -0.0 from 0.0
+        assert repr(learning._parse_model_json(text.encode())) == repr(json.loads(text))
+
+    def test_saved_model_parses_array_by_array(self, tmp_path):
+        model = train(tiny_corpus(num_types=2), TrainConfig(K=2, seed=6, max_em_iters=2))
+        save_model(model, tmp_path / "model.json")
+        data = (tmp_path / "model.json").read_bytes()
+        spans = learning._scalar_arrays(data)
+        # mu0, sigma0, a log_beta per type and the history
+        assert len(spans) == 5
+        assert repr(learning._parse_by_arrays(data)) == repr(json.loads(data))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        mu0=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2),
+        # sigma0 stays positive definite with a finite inverse
+        variances=st.lists(st.floats(min_value=1e-300, max_value=1e300), min_size=2, max_size=2),
+        history=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=3),
+    )
+    def test_finite_doubles_round_trip_bitwise(self, mu0, variances, history):
+        model = _model(mu0, variances, history)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/model.json"
+            save_model(model, path)
+            loaded = load_model(path)
+        assert _bits(loaded.params.mu0) == _bits(mu0)
+        assert _bits(loaded.params.sigma0) == _bits(np.diag(variances))
+        assert _bits(loaded.history) == _bits(history)
+
+    @pytest.mark.parametrize("tokens", [("a", "b"), FALLBACK_TOKENS], ids=["orjson", "json"])
+    def test_hand_written_decimals_load_as_float_reads_them(self, tmp_path, tokens):
+        path = tmp_path / "model.json"
+        path.write_text(_hand_written_model(HARD_DECIMALS, tokens))
+        loaded = load_model(path)
+        assert _bits(loaded.params.mu0) == _bits([float(s) for s in HARD_DECIMALS])
+        assert _bits(loaded.params.sigma0) == _bits(np.eye(len(HARD_DECIMALS)))
+        log_beta = np.full((len(HARD_DECIMALS), 2), math.log(0.5))
+        assert _bits(loaded.params.log_beta[0]) == _bits(log_beta)
+
+    @pytest.mark.parametrize("tokens", [("a", "b"), FALLBACK_TOKENS], ids=["orjson", "json"])
+    @pytest.mark.parametrize(
+        "literal",
+        ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1" + "0" * 400],
+        ids=["nan", "infinity", "minus-infinity", "1e400", "minus-1e400", "400-digit-int"],
+    )
+    def test_nan_infinity_and_overflow_are_not_json(self, tmp_path, tokens, literal):
+        # json reads all of them, and a history of them once loaded
+        path = tmp_path / "model.json"
+        path.write_text(_hand_written_model(["0.0", "0.0"], tokens, history=f"[{literal}]"))
+        with pytest.raises(ModelFormatError):
+            load_model(path)
+
+    @pytest.mark.parametrize("tokens", [("x", "b"), ("x", FALLBACK_TOKENS[1])],
+                             ids=["orjson", "json"])
+    def test_lone_surrogate_token_is_not_a_model(self, tmp_path, tokens):
+        # json reads the escape as a str that no fingerprint can encode
+        path = tmp_path / "model.json"
+        path.write_text(_hand_written_model(["0.0", "0.0"], tokens).replace('"x"', '"\\ud800"'))
+        with pytest.raises(ModelFormatError):
+            load_model(path)
+
+    def test_integers_past_64_bits_in_the_config_echo_stay_exact(self, tmp_path):
+        # orjson reads these literals as floats; TrainConfig takes any size of int
+        config = TrainConfig(K=2, seed=2**70, max_em_iters=2**64)
+        path = tmp_path / "model.json"
+        save_model(_model([0.0, 0.0], [1.0, 1.0], [-(2**70)], config), path)
+        loaded = load_model(path)
+        assert loaded.config == config
+        assert loaded.history == [-(2**70)] and type(loaded.history[0]) is int
+
     def test_round_trip_bitwise_params(self, tmp_path):
         corpus = tiny_corpus(num_types=2)
         model = train(corpus, TrainConfig(K=2, seed=6, max_em_iters=3))
