@@ -93,12 +93,13 @@ def _validate_record(rec: RecordBags, vocabularies) -> None:
             f"record {rec.record_id!r} has {len(rec.bags)} bags, expected {len(vocabularies)}"
         )
     for vocab, bag in zip(vocabularies, rec.bags):
+        size = vocab.size
         for idx, count in bag.items():
             # type(...) is int: bool subclasses int but is not a count or index
-            if type(idx) is not int or not 0 <= idx < vocab.size:
+            if type(idx) is not int or not 0 <= idx < size:
                 raise CorpusError(
                     f"record {rec.record_id!r}: token index {idx!r} invalid for "
-                    f"type {vocab.type_name!r} (size {vocab.size})"
+                    f"type {vocab.type_name!r} (size {size})"
                 )
             if type(count) is not int or not 1 <= count <= MAX_COUNT:
                 raise CorpusError(

@@ -194,16 +194,18 @@ def _blocks(records) -> list:
 def _e_step(corpus, params, warm_starts, threads, topic_counts=False):
     """Posteriors of every record, one :func:`infer_block` per block of records.
 
-    Threads map over the blocks of :func:`_blocks`, and results are combined
-    in block order, so the thread count never changes the output. With
-    ``topic_counts``, also returns each type's (K, V_m) sum over records of
-    q(z) times the token counts at the modes, for :func:`m_step`; otherwise
-    ``None`` in its place.
+    Records start at their rows of ``warm_starts``, or, when it is ``None``,
+    at :func:`infer_block`'s cold start. Threads map over the blocks of
+    :func:`_blocks`, and results are combined in block order, so the thread
+    count never changes the output. With ``topic_counts``, also returns each
+    type's (K, V_m) sum over records of q(z) times the token counts at the
+    modes, for :func:`m_step`; otherwise ``None`` in its place.
     """
 
     def infer(bounds):
         start, stop = bounds
-        posteriors, mode = infer_block(corpus.records[start:stop], params, warm_starts[start:stop])
+        starts = None if warm_starts is None else warm_starts[start:stop]
+        posteriors, mode = infer_block(corpus.records[start:stop], params, starts)
         if not topic_counts:
             return posteriors, ()
         objective = mode.objective
@@ -236,13 +238,13 @@ def train(corpus: Corpus, cfg: TrainConfig, threads: int = 1) -> TrainedModel:
     """Alternate full-corpus E-steps with M-steps until the objective settles.
 
     Convergence: relative change of the summed per-record objective
-    (``DocPosterior.elbo``) falls to ``cfg.em_tol``. Each EM iteration
-    warm-starts every record's mode at its previous value. On convergence the
-    final M-step is skipped so the returned posteriors correspond to the
-    returned params.
+    (``DocPosterior.elbo``) falls to ``cfg.em_tol``. The first E-step starts
+    every record cold, and each later one warm-starts it at its previous
+    mode. On convergence the final M-step is skipped so the returned
+    posteriors correspond to the returned params.
     """
     params = initialize(corpus, cfg)
-    warm = [params.mu0] * corpus.num_records
+    warm = None
     posteriors: list = []
     history: list = []
     converged = False
@@ -277,8 +279,7 @@ def attach_posteriors(model: TrainedModel, corpus: Corpus, threads: int = 1) -> 
     them from a corpus; the corpus must match the model's vocabularies.
     """
     check_compatible(model, corpus.vocabularies)
-    warm = [model.params.mu0] * corpus.num_records
-    posteriors, _ = _e_step(corpus, model.params, warm, threads)
+    posteriors, _ = _e_step(corpus, model.params, None, threads)
     return replace(model, doc_posteriors=posteriors)
 
 

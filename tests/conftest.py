@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from phenotopics.corpus import Corpus, RecordBags, Vocabulary
+from phenotopics.synth import Scenario
 from phenotopics.variational import ModelParams
 
 
@@ -33,6 +34,23 @@ def random_record(rng, params, n_tokens_per_type, record_id="r0"):
             bag[int(x)] = bag.get(int(x), 0) + 1
         bags.append(bag)
     return RecordBags(record_id=record_id, bags=tuple(bags))
+
+
+def k50_params():
+    """A K=50 model over four types shaped like a clinical cohort's: block
+    topics from :class:`~phenotopics.synth.Scenario` over 2,000 tokens per
+    type, five common phenotypes (prior mean 2.5), prior standard deviations
+    spread linearly around a mean of 1.8 and one planted correlation of 0.8.
+
+    Returns the params and the vocabularies."""
+    k = 50
+    scenario = Scenario(name="k50", K=k, M=4, vocab_size=2000, D=1, tokens_per_type=1,
+                        sigma0_pairs=((5, 6, 0.8),))
+    topics = scenario.build_truth()
+    sd = np.linspace(0.6, 2.2, k) * (1.8 / 1.4)
+    mu0 = np.where(np.arange(k) < 5, 2.5, 0.0)
+    params = ModelParams.create(mu0, topics.sigma0 * np.outer(sd, sd), topics.log_beta)
+    return params, scenario.vocabularies()
 
 
 def two_block_corpus(per_population=6, tokens_per_record=12):

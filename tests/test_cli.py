@@ -597,7 +597,9 @@ class TestSummarize:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_manifest_counts_nonconverged_segments(self, trained, tmp_path, monkeypatch):
-        monkeypatch.setattr(numerics, "NEWTON_MAX_ITERS", 1)
+        # one Newton step from the cold start already converges these
+        # segments, so cap at 0: each stops at its start
+        monkeypatch.setattr(numerics, "NEWTON_MAX_ITERS", 0)
         posteriors = []
 
         def infer_block(*args, **kwargs):

@@ -9,10 +9,12 @@ from phenotopics import numerics
 from phenotopics.corpus import RecordBags
 from phenotopics.learning import BETA_SMOOTHING
 from phenotopics.numerics import softmax
+from phenotopics.synth import sample_corpus
 from phenotopics.variational import (
     MIN_COLUMN_MASS,
     ModelParams,
     ModeObjective,
+    _cold_starts,
     _invert_neg_hessian,
     _laplace_hessian,
     _responsibilities,
@@ -20,7 +22,7 @@ from phenotopics.variational import (
     infer_document,
 )
 
-from .conftest import make_params, random_params, random_record
+from .conftest import k50_params, make_params, random_params, random_record
 from .oracles import (
     enumeration_posterior_mean_proportions,
     fd_jacobian,
@@ -580,3 +582,72 @@ class TestBlock:
             alone = infer_document(records[name], params, starts[name])
             assert post.converged == alone.converged
             assert np.abs(post.nu_hat - alone.nu_hat).max() <= 1e-6
+
+
+class TestColdStart:
+    """The default start, one EM step past the prior mean, reaches the modes a start at mu0 does."""
+
+    @staticmethod
+    def assert_same_modes(records, params):
+        """Infer ``records`` from the default start and from mu0; return both posteriors."""
+        cold, cold_mode = infer_block(records, params)
+        warm, warm_mode = infer_block(records, params, np.tile(params.mu0, (len(records), 1)))
+        assert all(post.converged for post in cold + warm)
+        np.testing.assert_allclose(cold_mode.value, warm_mode.value, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(cold_mode.pi, warm_mode.pi, rtol=0, atol=1e-7)
+        return cold, warm
+
+    @staticmethod
+    def assert_on_prior_ridge(objective, starts):
+        """The data term is flat along the ones vector, so g's slope along it
+        at each start is the prior's, and the shift makes it 0."""
+        point = objective.evaluate(np.arange(len(starts)), starts)
+        slope = point.gradient().sum(axis=1)
+        assert np.abs(slope).max() <= 1e-9 * max(1.0, objective.n_total.max())
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_k50_blocks_reach_the_mu0_modes_in_fewer_iterations(self, seed):
+        params, vocabularies = k50_params()
+        corpus, _ = sample_corpus(params, 8, [400] * 4, seed, vocabularies=vocabularies)
+        records = list(corpus.records)
+        cold, warm = self.assert_same_modes(records, params)
+        assert sum(post.iterations for post in cold) < sum(post.iterations for post in warm)
+        objective = ModeObjective(records, params)
+        self.assert_on_prior_ridge(objective, _cold_starts(objective))
+
+    def test_edge_records_start_finite_and_reach_the_mu0_modes(self):
+        # phenotype 2 gives tokens 0 and 1 of both types a probability that
+        # underflows to 0 (log beta -800), so a record of only those tokens
+        # has no expected count under it at mu0
+        type0 = np.log([[0.5, 0.3, 0.2], [0.2, 0.2, 0.6], [1.0, 1.0, 1.0]])
+        type1 = np.log([[0.25] * 4, [0.1, 0.2, 0.3, 0.4], [1.0, 1.0, 0.5, 0.5]])
+        type0[2, :2] = type1[2, :2] = -800.0
+        params = ModelParams.create([0.3, -0.2, 0.1], [[1.0, 0.4, 0.0], [0.4, 2.0, 0.3],
+                                                       [0.0, 0.3, 0.5]], [type0, type1])
+        records = [
+            RecordBags("empty", ({}, {})),
+            RecordBags("empty-bag", ({}, {0: 2, 3: 5})),
+            RecordBags("underflow", ({0: 4, 1: 2}, {1: 3})),
+        ]
+        objective = ModeObjective(records, params)
+        at_mu0 = objective.evaluate(np.arange(3), np.tile(params.mu0, (3, 1)))
+        assert at_mu0.expected.sum(axis=1)[2, 2] == 0.0
+        starts = _cold_starts(objective)
+        assert np.isfinite(starts).all()
+        assert np.array_equal(starts[0], params.mu0)
+        assert np.array_equal(starts[2], params.mu0)
+        assert not np.array_equal(starts[1], params.mu0)
+        self.assert_on_prior_ridge(ModeObjective(records[1:2], params), starts[1:2])
+        self.assert_same_modes(records, params)
+
+    def test_explicit_starts_are_used_as_given(self, rng, monkeypatch):
+        params = random_params(rng, 5, [6, 4])
+        records = [random_record(rng, params, [10, 5], f"r{d}") for d in range(3)]
+        starts = rng.normal(size=(3, 5))
+        cold_starts = _cold_starts(ModeObjective(records, params))
+        assert not np.array_equal(cold_starts, np.tile(params.mu0, (3, 1)))
+        # with no iteration allowed, every record stops where it started
+        monkeypatch.setattr(numerics, "NEWTON_MAX_ITERS", 0)
+        for given, expected in ((starts, starts), (None, cold_starts)):
+            posteriors, _ = infer_block(records, params, given)
+            assert np.array_equal([post.nu_hat for post in posteriors], expected)
