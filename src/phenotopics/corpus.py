@@ -10,6 +10,10 @@ sparse bag of token counts per type. On disk a corpus is a directory with
 Repeated tokens are stored as counts, never as repeated entries: downstream
 inference only consumes count vectors, so counts are sufficient. A corpus is
 immutable after load and safe to share across worker threads.
+
+Both files are parsed by orjson where it gives what ``json`` gives
+(:func:`_parse_json`), and by ``json`` everywhere else, so errors are
+``json``'s.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+
+import orjson
 
 VOCAB_FILENAME = "vocab.json"
 RECORDS_FILENAME = "records.jsonl"
@@ -28,6 +34,41 @@ MAX_COUNT = 2**53
 
 class CorpusError(ValueError):
     """Malformed or inconsistent corpus data; message carries the location."""
+
+
+# orjson turns a document into Python objects by recursion without a depth
+# bound, so a deeply nested text overflows the C stack and kills the process
+# (at about 10**5 levels on an 8 MB stack). A text nests no deeper than it has
+# ``[`` and ``{`` characters; a record line has about six, a model file about
+# a dozen.
+_ORJSON_MAX_OPENERS = 1000
+
+
+def _orjson_loads(text):
+    """``orjson.loads(text)`` (``str`` or ``bytes``), or ``None`` for a text
+    with more than ``_ORJSON_MAX_OPENERS`` ``[`` and ``{``, which orjson never
+    sees."""
+    openers = (b"[", b"{") if isinstance(text, bytes) else ("[", "{")
+    if text.count(openers[0]) + text.count(openers[1]) > _ORJSON_MAX_OPENERS:
+        return None
+    return orjson.loads(text)
+
+
+def _parse_json(text, parse=_orjson_loads, fallback=json.loads):
+    """``fallback(text)``, computed by ``parse`` where that gives the same.
+
+    ``parse`` is built on :func:`_orjson_loads`, and returns ``None`` for a
+    text whose value it cannot vouch for. ``fallback`` parses the text
+    instead where ``parse`` returns ``None`` or orjson rejects the text
+    (``NaN``, ``1e400`` or a lone surrogate, say), so the value or error is
+    then ``fallback``'s. A text whose value is ``null`` takes that path too,
+    to the same ``None``.
+    """
+    try:
+        value = parse(text)
+    except orjson.JSONDecodeError:
+        value = None
+    return fallback(text) if value is None else value
 
 
 @dataclass(frozen=True)
@@ -162,7 +203,19 @@ def read_records_jsonl(path, vocabularies) -> Corpus:
     Types absent from a record's bags become empty bags; a record may appear
     once per (id, time_bin) pair so that time segments of one record can share
     an id. Returns the validated :class:`Corpus` of those records.
+
+    Lines are parsed by :func:`_parse_json`. orjson reads an integer literal
+    of 64 bits or more as a float, which differs from ``json`` only where it
+    is a count, and a float count is an error. So a file that fails is read
+    again with ``json`` alone, and the error raised is ``json``'s.
     """
+    try:
+        return _read_records(path, vocabularies, _parse_json)
+    except CorpusError:
+        return _read_records(path, vocabularies, json.loads)
+
+
+def _read_records(path, vocabularies, parse) -> Corpus:
     lookups = [v.index_of() for v in vocabularies]
     records = []
     seen = set()
@@ -172,7 +225,7 @@ def read_records_jsonl(path, vocabularies) -> Corpus:
                 if not line.strip():
                     continue
                 try:
-                    obj = json.loads(line)
+                    obj = parse(line)
                 except json.JSONDecodeError as exc:
                     raise CorpusError(f"records line {line_no}: invalid JSON ({exc.msg})") from exc
                 except (RecursionError, ValueError) as exc:  # too deep, or an over-long int
@@ -200,7 +253,7 @@ def load_corpus(path) -> Corpus:
     records_path = os.path.join(path, RECORDS_FILENAME)
     try:
         with open(vocab_path, encoding="utf-8") as fh:
-            raw_vocab = json.load(fh)
+            raw_vocab = _parse_json(fh.read())
     except json.JSONDecodeError as exc:
         raise CorpusError(f"{vocab_path}: invalid JSON at line {exc.lineno}") from exc
     except (RecursionError, ValueError) as exc:  # not UTF-8, too deep, or an over-long int

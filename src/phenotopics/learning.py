@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 import orjson
 
-from .corpus import Corpus, _parse_vocabularies
+from .corpus import Corpus, _orjson_loads, _parse_json, _parse_vocabularies
 from .numerics import ridged_cholesky
 from .variational import ModelParams, infer_block
 
@@ -306,13 +306,6 @@ def save_model(model: TrainedModel, path) -> None:
         fh.write("\n")
 
 
-# orjson turns a document into Python objects by recursion without a depth
-# bound, so a deeply nested file overflows the C stack and kills the process
-# (at about 10**5 levels on an 8 MB stack). A document nests no deeper than it
-# has ``[`` and ``{`` bytes, and a model file has about a dozen.
-_ORJSON_MAX_OPENERS = 1000
-
-
 def _scalar_arrays(data: bytes) -> list:
     """The ``(start, stop)`` byte spans of the arrays in ``data`` that hold no
     string, array or object, which in a model file are its arrays of numbers.
@@ -352,11 +345,9 @@ def _parse_by_arrays(data: bytes):
         pieces += [view[done:start], b"[%d\n]" % i]
         done = stop
     pieces.append(view[done:])
-    skeleton = b"".join(pieces)
-    if skeleton.count(b"[") + skeleton.count(b"{") > _ORJSON_MAX_OPENERS:
-        return None
-    # every list of one int is a placeholder: an array like [5] was a span
-    root = [orjson.loads(skeleton)]
+    # every list of one int is a placeholder: an array like [5] was a span;
+    # no span holds a second opener, so the rest nests as deep as the file
+    root = [_orjson_loads(b"".join(pieces))]
     stack = [root]
     while stack:
         node = stack.pop()
@@ -384,18 +375,33 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not JSON")
 
 
-def _may_hold_wide_integer(payload) -> bool:
-    """Whether orjson may have read an integer literal of 64 bits or more as a float.
+def _parse_model_orjson(data: bytes):
+    """:func:`_parse_by_arrays`, or ``None`` where orjson may have read an
+    integer literal of 64 bits or more as a float.
 
     json reads such a literal as an exact int. In a model file only the
     config echo (a ``--seed`` of 2**64, say) and the history can hold one.
     """
+    payload = _parse_by_arrays(data)
     if not isinstance(payload, dict):
-        return False
+        return payload
     config, history = payload.get("config"), payload.get("history")
     values = [*(config.values() if isinstance(config, dict) else ()),
               *(history if isinstance(history, list) else ())]
-    return any(type(value) is float and abs(value) >= 2.0**63 for value in values)
+    if any(type(value) is float and abs(value) >= 2.0**63 for value in values):
+        return None
+    return payload
+
+
+def _parse_strict_json(data: bytes):
+    """``json.loads`` of UTF-8 ``data``, rejecting what orjson rejects:
+    ``NaN``, ``Infinity`` and numbers beyond binary64's range."""
+    return json.loads(
+        data.decode("utf-8"),
+        parse_float=_within_binary64(float),
+        parse_int=_within_binary64(int),
+        parse_constant=_reject_constant,
+    )
 
 
 def _parse_model_json(data: bytes):
@@ -405,20 +411,10 @@ def _parse_model_json(data: bytes):
     orjson parses a model file's arrays about five times faster than ``json``,
     to the same floats as ``float()``. A file that orjson rejects, could
     overflow, or whose integers it may have widened to floats goes to
-    ``json``, made as strict, which also says where a file stops being JSON.
+    ``json``, made as strict, which also says where a file stops being JSON
+    (see :func:`~phenotopics.corpus._parse_json`).
     """
-    try:
-        payload = _parse_by_arrays(data)
-    except json.JSONDecodeError:  # orjson's subclasses it
-        payload = None
-    if payload is not None and not _may_hold_wide_integer(payload):
-        return payload
-    return json.loads(
-        data.decode("utf-8"),
-        parse_float=_within_binary64(float),
-        parse_int=_within_binary64(int),
-        parse_constant=_reject_constant,
-    )
+    return _parse_json(data, _parse_model_orjson, _parse_strict_json)
 
 
 def load_model(path) -> TrainedModel:

@@ -50,17 +50,19 @@ def extract_phenotypes(model: TrainedModel, top_n: int, label_type: str) -> list
     type_names = [v.type_name for v in model.vocabularies]
     if label_type not in type_names:
         raise ValueError(f"unknown label_type {label_type!r}; have {type_names}")
-    label_m = type_names.index(label_type)
 
+    ranked = []  # per type: the topic rows and each row's top-n token indices
+    for vocab, log_beta in zip(model.vocabularies, model.params.log_beta):
+        probs = np.exp(log_beta)
+        # stable mergesort on -p keeps the lowest token index first on ties
+        order = np.argsort(-probs, axis=1, kind="stable")[:, :top_n]
+        ranked.append((vocab, probs, order))
     defs = []
     for k in range(model.params.num_phenotypes):
-        per_type = {}
-        for vocab, log_beta in zip(model.vocabularies, model.params.log_beta):
-            probs = np.exp(log_beta[k])
-            n = min(top_n, vocab.size)
-            # stable mergesort on -p keeps the lowest token index first on ties
-            order = np.argsort(-probs, kind="stable")[:n]
-            per_type[vocab.type_name] = [(vocab.tokens[v], float(probs[v])) for v in order]
+        per_type = {
+            vocab.type_name: [(vocab.tokens[v], float(probs[k, v])) for v in order[k].tolist()]
+            for vocab, probs, order in ranked
+        }
         defs.append(
             PhenotypeDefinition(
                 phenotype_id=k,

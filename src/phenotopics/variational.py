@@ -37,7 +37,7 @@ term-by-term formulation and a posterior keeps no per-token arrays.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,6 +60,13 @@ class ModelParams:
     distribution over type m's vocabulary. ``sigma0_inv`` is cached because the
     per-record objective evaluates the prior quadratic form many times, and
     ``sigma0_logdet`` (log det sigma0) because every record's objective needs it.
+
+    The topic table is cached for the same reason: ``beta_top[m]`` holds the
+    column maxima of ``log_beta[m]`` and ``beta_shifted[m]`` is
+    ``exp(log_beta[m] - beta_top[m])``, every entry at most 1. Each record's
+    :class:`ModeObjective` gathers its columns from them instead of
+    exponentiating its own. :meth:`validate` builds both, once per distinct
+    matrix, so types that share a matrix share its table.
     """
 
     mu0: np.ndarray
@@ -67,6 +74,8 @@ class ModelParams:
     sigma0_inv: np.ndarray
     sigma0_logdet: float
     log_beta: list
+    beta_top: list = field(default=None, repr=False, compare=False)
+    beta_shifted: list = field(default=None, repr=False, compare=False)
 
     @property
     def num_phenotypes(self) -> int:
@@ -109,24 +118,36 @@ class ModelParams:
         return params
 
     def validate(self) -> None:
+        """Check the params and build the topic table; raises ValueError on bad params.
+
+        Each row sum of ``exp(log_beta[m])`` is computed from the table as
+        ``beta_shifted[m] @ exp(beta_top[m])``, so the check costs no second
+        exponential pass.
+        """
         k = self.num_phenotypes
         if self.sigma0.shape != (k, k) or self.sigma0_inv.shape != (k, k):
             raise ValueError("sigma0 / sigma0_inv shape does not match mu0")
         if not np.all(np.isfinite(self.mu0)) or not np.all(np.isfinite(self.sigma0)):
             raise ValueError("mu0 / sigma0 must be finite")
-        checked = set()  # a matrix shared by several types is checked once
+        tables = {}  # a matrix shared by several types is checked and exponentiated once
         for m, lb in enumerate(self.log_beta):
-            if id(lb) in checked:
+            if id(lb) in tables:
                 continue
-            checked.add(id(lb))
             if lb.ndim != 2 or lb.shape[0] != k:
                 raise ValueError(f"log_beta[{m}] must have K={k} rows, got shape {lb.shape}")
             if not np.all(np.isfinite(lb)):
                 raise ValueError(f"log_beta[{m}] contains non-finite entries")
-            with np.errstate(over="ignore"):  # an entry above ~709 sums to inf, rejected below
-                row_sums = np.exp(lb).sum(axis=1)
-            if np.abs(row_sums - 1.0).max() > ROW_SUM_TOL:
+            # an entry above ~709 makes exp(top) inf, and inf times an
+            # underflowed neighbour NaN; both fail the comparison below
+            with np.errstate(over="ignore", invalid="ignore"):
+                top = lb.max(axis=0)
+                shifted = np.exp(lb - top)
+                row_sums = shifted @ np.exp(top)
+            if not np.all(np.abs(row_sums - 1.0) <= ROW_SUM_TOL):
                 raise ValueError(f"rows of exp(log_beta[{m}]) must sum to 1 within {ROW_SUM_TOL}")
+            tables[id(lb)] = top, shifted
+        self.beta_top = [tables[id(lb)][0] for lb in self.log_beta]
+        self.beta_shifted = [tables[id(lb)][1] for lb in self.log_beta]
 
 
 @dataclass
@@ -219,8 +240,11 @@ class ModeObjective:
     The data term is convex in nu, so g need not be concave.
 
     The token work is done once per record: ``__init__`` gathers each bag's
-    beta columns as B_m = exp(log_beta[m][:, idx] - top_m), shifted by their
-    column max top_m so every entry is at most 1, and keeps c_m @ top_m.
+    beta columns B_m = exp(log_beta[m][:, idx] - top_m), shifted by their
+    column max top_m so every entry is at most 1, from the params' topic
+    table (:class:`ModelParams`), and keeps c_m @ top_m. The exponential is
+    elementwise, so the gathered columns are the bits exponentiating the
+    record's own columns would give.
     :meth:`evaluate` takes any rows of the block, each at its own point, and
     needs pi, the column masses s_m = pi @ B_m and the data term c_m @ log s_m
     + c_m @ top_m; the expected counts pi * (B_m @ (c_m / s_m)) and q(z)
@@ -240,11 +264,12 @@ class ModeObjective:
         self.indices, self.counts, self._beta = [], [], []
         for record in records:
             indices, counts = _bag_arrays(record, params)
-            beta = []
-            for lb, idx, cnt in zip(params.log_beta, indices, counts):
-                columns = lb[:, idx]
-                top = columns.max(axis=0)
-                beta.append((np.exp(columns - top), float(cnt @ top)))
+            beta = [
+                (shifted[:, idx], float(cnt @ top[idx]))
+                for shifted, top, idx, cnt in zip(
+                    params.beta_shifted, params.beta_top, indices, counts
+                )
+            ]
             self.indices.append(indices)
             self.counts.append(counts)
             self._beta.append(beta)

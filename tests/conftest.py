@@ -53,6 +53,24 @@ def k50_params():
     return params, scenario.vocabularies()
 
 
+def crawling_k50_record():
+    """A K=50 record whose cold-start Newton ascent runs out of iterations.
+
+    Its 42 million tokens fall on the 8 tokens of one type, topic rows are
+    Dirichlet(0.5) over them and the prior is a random SPD one. With K far
+    above the record's distinct tokens the data leave most directions flat,
+    and the damped steps crawl there: from the cold start this record needs
+    182 Newton iterations, past ``NEWTON_MAX_ITERS`` = 100 (seed 5 of 12
+    tried; six capped). Returns the params and the record.
+    """
+    rng = np.random.default_rng(5)
+    params = random_params(rng, 50, [8])
+    pi = rng.dirichlet(np.full(50, 0.5))
+    counts = rng.multinomial(42_000_000, pi @ np.exp(params.log_beta[0]))
+    bag = {v: int(c) for v, c in enumerate(counts) if c}
+    return params, RecordBags("crawler", (bag,))
+
+
 def two_block_corpus(per_population=6, tokens_per_record=12):
     """Two disjoint token populations: records use either tokens 0-2 or 3-5."""
     vocab = Vocabulary("dx", tuple(f"w{i}" for i in range(6)))

@@ -20,12 +20,12 @@ from hypothesis import strategies as st
 
 from phenotopics import cli, learning, numerics, summarize, variational
 from phenotopics.cli import main
-from phenotopics.corpus import save_corpus
-from phenotopics.learning import vocab_fingerprint
+from phenotopics.corpus import Corpus, RecordBags, Vocabulary, save_corpus
+from phenotopics.learning import TrainConfig, TrainedModel, save_model, vocab_fingerprint
 from phenotopics.summarize import SANKEY_SCHEMA
 from phenotopics.synth import Scenario, save_scenario
 
-from .conftest import two_block_corpus
+from .conftest import crawling_k50_record, two_block_corpus
 
 
 # deeper than json's recursion limit allows
@@ -152,6 +152,23 @@ class TestTrain:
         code = main([command, "--corpus", str(corpus), *flags, "--out", str(tmp_path / "o")])
         assert code == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_records_line_nested_past_the_c_stack_exits_2(self, tmp_path):
+        # parsed by orjson, this line's 200,000 levels would overflow an 8 MB C
+        # stack and kill the process, so the load runs in a child
+        corpus = tmp_path / "deep_corpus"
+        save_corpus(two_block_corpus(), corpus)
+        (corpus / "records.jsonl").write_text("[" * 200_000 + "]" * 200_000 + "\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        child = f"import sys; sys.path.insert(0, {src!r}); from phenotopics.cli import main; " \
+                "sys.exit(main())"
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "train", "--corpus", str(corpus), "--k", "2",
+             "--seed", "0", "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
 
     def test_non_convergence_exits_3_but_writes_model(self, corpus_dir, tmp_path):
         out = tmp_path / "short"
@@ -1153,6 +1170,21 @@ class TestCoverage:
         expected = sum(not post.converged for post in models[0].doc_posteriors)
         assert expected > 0
         assert json.loads((out / "manifest.json").read_text())["nonconverged_records"] == expected
+
+    def test_manifest_counts_a_record_that_crawls(self, tmp_path):
+        # the crawling record stops at the iteration cap from its cold start;
+        # the short one converges
+        params, record = crawling_k50_record()
+        vocab = (Vocabulary("dx", tuple(f"w{v}" for v in range(8))),)
+        save_corpus(Corpus(vocab, (RecordBags("short", ({0: 3, 5: 1},)), record)),
+                    tmp_path / "corpus")
+        save_model(TrainedModel(params, vocab, [], [], TrainConfig(K=50), vocab_fingerprint(vocab)),
+                   tmp_path / "model.json")
+        out = tmp_path / "cov"
+        code = main(["coverage", "--model", str(tmp_path / "model.json"),
+                     "--corpus", str(tmp_path / "corpus"), "--out", str(out)])
+        assert code == 0
+        assert json.loads((out / "manifest.json").read_text())["nonconverged_records"] == 1
 
     def test_mass_zero_is_argument_error(self, trained, corpus_dir, tmp_path):
         code = main(

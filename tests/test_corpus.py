@@ -1,16 +1,22 @@
 """Corpus data model, JSONL parsing, and round-trip persistence."""
 
 import json
+import math
 
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phenotopics import corpus as corpus_mod
 from phenotopics.corpus import (
+    _ORJSON_MAX_OPENERS,
     Corpus,
     CorpusError,
     RecordBags,
     Vocabulary,
+    _orjson_loads,
+    _parse_json,
     load_corpus,
     save_corpus,
 )
@@ -159,6 +165,85 @@ class TestLoadCorpus:
         path = write_corpus_dir(tmp_path, {"dx": ["a", "a"]}, [{"id": "p1", "bags": {}}])
         with pytest.raises(CorpusError, match="duplicate tokens"):
             load_corpus(path)
+
+
+def _loaded(path):
+    """What ``load_corpus`` gives for ``path``: the records' layout, bag order
+    included, or the error message."""
+    try:
+        corpus = load_corpus(path)
+    except CorpusError as exc:
+        return str(exc)
+    return repr([corpus.vocabularies]
+                + [(r.record_id, r.time_bin, [list(b.items()) for b in r.bags])
+                   for r in corpus.records])
+
+
+class TestOrjsonFirstReader:
+    """Corpus files parsed by orjson where it is safe give what ``json`` alone gives."""
+
+    @pytest.mark.parametrize(
+        "vocab, lines, expected",
+        [
+            ('{"dx": ["a", "b"]}', ['{"id": "r", "bags": {"dx": {"a": NaN}}}'], "got nan"),
+            ('{"dx": ["a", "b"]}', ['{"id": "r", "bags": {"dx": {"a": 1e400}}}'], "got inf"),
+            ('{"dx": ["a", "b"]}', ['{"id": "r", "bags": {"dx": {"a": 18446744073709551616}}}'],
+             "got 18446744073709551616"),
+            ('{"dx": ["a", "b"]}', ['{"id": "r", "bags": {"dx": {"a": -9223372036854775809}}}'],
+             "got -9223372036854775809"),
+            # the wide count sends the file back to json, which stops at line 2
+            ('{"dx": ["a", "b"]}', ['{"id": "r", "bags": {"dx": {"a": 18446744073709551616}}}',
+                                    '{"id": "s", "bags": {"dx": {"a": 1}}'], "records line 2"),
+            ('{"dx": ["a", "b"]}', ['{"id": "r", "bags": {"dx": {"\\ud800": 1}}}'],
+             "unknown token '\\ud800'"),
+            ('{"dx": ["a", "\\ud800"]}', ['{"id": "r", "bags": {"dx": {"\\ud800": 2}}}'],
+             "'\\ud800'"),
+            ('{"dx": ["a", NaN]}', ['{"id": "r", "bags": {}}'], "list of strings"),
+            ('{"dx": ["a", "b"], "dx": ["c"]}', ['{"id": "r", "bags": {"dx": {"c": 1}}}'], "'c'"),
+            ('{"dx": ["a", "b"]}',
+             ['{"id": "x", "bags": {"dx": {"b": 1, "a": 2, "b": 3}}, "id": "r"}'],
+             "[(1, 3), (0, 2)]"),
+            ('{"dx": ["a", "b"]}',
+             ['{"id": "r", "n": 18446744073709551616, "bags": {"dx": {"a": 1}}}'],
+             "[(0, 1)]"),
+        ],
+        ids=["nan-count", "1e400-count", "2**64-count", "below-minus-2**63-count",
+             "wide-count-then-bad-line", "lone-surrogate-token", "lone-surrogate-vocabulary",
+             "nan-in-vocabulary", "duplicate-type", "duplicate-keys", "wide-int-elsewhere"],
+    )
+    def test_same_corpus_or_error_as_json(self, tmp_path, monkeypatch, vocab, lines, expected):
+        (tmp_path / "vocab.json").write_text(vocab, encoding="utf-8")
+        (tmp_path / "records.jsonl").write_text("".join(line + "\n" for line in lines),
+                                                encoding="utf-8")
+        found = _loaded(tmp_path)
+        monkeypatch.setattr(corpus_mod, "_parse_json", json.loads)
+        assert found == _loaded(tmp_path)
+        assert expected in found
+
+    def test_shallow_text_is_parsed_by_orjson(self):
+        for text in ('{"a": [1, {"b": 2}]}', b"[[1], [2]]"):
+            assert _orjson_loads(text) == orjson.loads(text)
+        deepest = _orjson_loads("[" * _ORJSON_MAX_OPENERS + "]" * _ORJSON_MAX_OPENERS)
+        assert type(deepest) is list
+
+    def test_nested_text_never_reaches_orjson(self, monkeypatch):
+        def refuse(text):
+            raise AssertionError("orjson called")
+
+        monkeypatch.setattr(orjson, "loads", refuse)
+        for text in ("[" * _ORJSON_MAX_OPENERS + "{}" + "]" * _ORJSON_MAX_OPENERS,
+                     b"{" * (_ORJSON_MAX_OPENERS + 1)):
+            assert _orjson_loads(text) is None
+
+    def test_text_that_parse_declines_or_orjson_rejects_goes_to_fallback(self):
+        assert _parse_json("[1]", lambda t: None, lambda t: ("fallback", t)) == ("fallback", "[1]")
+        assert _parse_json("[1]", lambda t: [2], lambda t: ("fallback", t)) == [2]
+        assert math.isnan(_parse_json("NaN"))
+        with pytest.raises(json.JSONDecodeError, match="Expecting value"):
+            _parse_json("[1,]")
+        nested = "[" * 5000 + "]" * 5000
+        with pytest.raises(RecursionError):
+            _parse_json(nested)
 
 
 class TestCorpusValidation:

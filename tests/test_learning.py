@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phenotopics import learning, numerics
-from phenotopics.corpus import Corpus, RecordBags, Vocabulary
+from phenotopics.corpus import _ORJSON_MAX_OPENERS, Corpus, RecordBags, Vocabulary
 from phenotopics.learning import (
     FingerprintError,
     ModelFormatError,
@@ -445,7 +445,7 @@ def _hand_written_model(mu0, tokens=("a", "b"), history="[]"):
 
 
 # a token of that many brackets sends a file past orjson to json
-FALLBACK_TOKENS = ("a", "[" * (learning._ORJSON_MAX_OPENERS + 1))
+FALLBACK_TOKENS = ("a", "[" * (_ORJSON_MAX_OPENERS + 1))
 
 
 _JSON_TEXT = st.text(

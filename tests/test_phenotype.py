@@ -8,6 +8,8 @@ from phenotopics.learning import TrainConfig, TrainedModel, vocab_fingerprint
 from phenotopics.phenotype import correlation_graph, covariance_to_correlation, extract_phenotypes
 from phenotopics.variational import DocPosterior, ModelParams
 
+from .conftest import k50_params
+
 
 def model_from(mu0, sigma0, betas, vocabularies, posteriors=()):
     params = ModelParams.create(mu0, sigma0, [np.log(np.asarray(b)) for b in betas])
@@ -70,6 +72,20 @@ class TestExtractPhenotypes:
     def test_unknown_label_type_rejected(self, dx_model):
         with pytest.raises(ValueError, match="unknown label_type"):
             extract_phenotypes(dx_model, top_n=1, label_type="meds")
+
+    @pytest.mark.parametrize("top_n", [10, 2500])
+    def test_k50_ranking_is_one_row_at_a_time(self, top_n):
+        # block topics hold thousands of tied probabilities per row
+        params, vocabularies = k50_params()
+        model = TrainedModel(params, vocabularies, [], [], TrainConfig(K=50),
+                             vocab_fingerprint(vocabularies))
+        defs = extract_phenotypes(model, top_n=top_n, label_type="type2")
+        for k, d in enumerate(defs):
+            for vocab, log_beta in zip(vocabularies, params.log_beta):
+                probs = np.exp(log_beta[k])
+                order = np.argsort(-probs, kind="stable")[:top_n]
+                expected = [(vocab.tokens[v], float(probs[v])) for v in order]
+                assert d.per_type_top_tokens[vocab.type_name] == expected
 
     def test_label_invariant_under_row_rescaling(self):
         # the argmax label only depends on the within-row ranking

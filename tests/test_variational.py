@@ -1,9 +1,12 @@
 """Per-record inference: the mode objective and its derivatives, q(nu), q(z), the ELBO."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phenotopics import numerics
 from phenotopics.corpus import RecordBags
@@ -12,6 +15,7 @@ from phenotopics.numerics import softmax
 from phenotopics.synth import sample_corpus
 from phenotopics.variational import (
     MIN_COLUMN_MASS,
+    ROW_SUM_TOL,
     ModelParams,
     ModeObjective,
     _cold_starts,
@@ -22,7 +26,7 @@ from phenotopics.variational import (
     infer_document,
 )
 
-from .conftest import k50_params, make_params, random_params, random_record
+from .conftest import crawling_k50_record, k50_params, make_params, random_params, random_record
 from .oracles import (
     enumeration_posterior_mean_proportions,
     fd_jacobian,
@@ -53,6 +57,94 @@ class TestModelParams:
             sign, logdet = np.linalg.slogdet(params.sigma0)
             assert sign == 1.0
             assert params.sigma0_logdet == pytest.approx(logdet, rel=1e-12)
+
+
+def _rejected_by_exp_row_sums(lb):
+    """Whether the row-sum check rejects ``lb`` when made on ``exp(lb)`` itself."""
+    with np.errstate(over="ignore"):
+        row_sums = np.exp(lb).sum(axis=1)
+    return bool(np.abs(row_sums - 1.0).max() > ROW_SUM_TOL)
+
+
+# Replacements for one entry of a topic matrix: any finite double, small
+# integers, and values at the edges of exp's range and of binary64's.
+TOPIC_ENTRIES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-2, 5),
+    st.sampled_from([1e308, -1e308, 1e-300, 1e300, 709.0, 710.0, 745.0, -745.0, -800.0]),
+)
+
+
+class TestTopicTable:
+    """Each record's beta columns come from its params' table, with the bits
+    exponentiating the record's own columns gives."""
+
+    @staticmethod
+    def assert_gathered_as_exponentiated(records, params):
+        objective = ModeObjective(records, params)
+        for r in range(len(records)):
+            for lb, idx, cnt, (shifted, offset) in zip(
+                params.log_beta, objective.indices[r], objective.counts[r], objective._beta[r]
+            ):
+                columns = lb[:, idx]
+                top = columns.max(axis=0)
+                reference = np.exp(columns - top)
+                assert np.array_equal(shifted, reference)
+                # the same memory layout, so BLAS takes the same path through it
+                assert shifted.strides == reference.strides
+                assert offset == float(cnt @ top)
+
+    @pytest.mark.parametrize("k", [2, 6])
+    def test_small_k_records(self, rng, k):
+        params = random_params(rng, k, [7, 30])
+        records = [random_record(rng, params, [12, 40], f"r{d}") for d in range(5)]
+        records.append(RecordBags("empty", ({}, {})))
+        self.assert_gathered_as_exponentiated(records, params)
+
+    def test_k50_records_of_types_that_share_one_matrix(self):
+        params, vocabularies = k50_params()
+        # the planted topics are one matrix shared by the four types
+        assert all(lb is params.log_beta[0] for lb in params.log_beta)
+        assert all(s is params.beta_shifted[0] for s in params.beta_shifted)
+        assert all(t is params.beta_top[0] for t in params.beta_top)
+        corpus, _ = sample_corpus(params, 6, [400] * 4, 0, vocabularies=vocabularies)
+        self.assert_gathered_as_exponentiated(list(corpus.records), params)
+
+    def test_replaced_prior_keeps_the_table_of_its_topics(self, rng):
+        lb = random_params(rng, 6, [9]).log_beta[0]
+        params = ModelParams.create(np.zeros(6), np.eye(6), [lb, lb])
+        assert params.beta_shifted[0] is params.beta_shifted[1]
+        moved = dataclasses.replace(params, mu0=np.full(6, 0.5))
+        fresh = ModelParams.create(moved.mu0, params.sigma0, [lb, lb])
+        records = [random_record(rng, params, [20, 5], f"r{d}") for d in range(4)]
+        self.assert_gathered_as_exponentiated(records, moved)
+        for a, b in zip(infer_block(records, moved)[0], infer_block(records, fresh)[0]):
+            assert np.array_equal(a.nu_hat, b.nu_hat)
+            assert np.array_equal(a.nu_cov, b.nu_cov)
+            assert np.array_equal(a.expected_counts, b.expected_counts)
+            assert a.elbo == b.elbo
+
+    @settings(max_examples=300, deadline=None)
+    @given(row=st.integers(0, 1), col=st.integers(0, 2), value=TOPIC_ENTRIES)
+    def test_rejects_what_exponentiating_the_matrix_rejects(self, row, col, value):
+        lb = np.log([[0.5, 0.25, 0.25], [0.2, 0.3, 0.5]])
+        lb[row, col] = value
+        if _rejected_by_exp_row_sums(lb):
+            with pytest.raises(ValueError, match="sum to 1"):
+                ModelParams.create(np.zeros(2), np.eye(2), [lb])
+        else:
+            ModelParams.create(np.zeros(2), np.eye(2), [lb])
+
+    def test_entry_past_709_with_underflowing_neighbours_is_rejected(self):
+        lb = np.log(np.full((3, 4), 0.25))
+        lb[0, 1] = 710.0
+        lb[1:, 1] = -800.0  # shifted by 710 they underflow to 0, and 0 * exp(710) is NaN
+        top = lb.max(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(np.exp(lb - top) @ np.exp(top)).any()
+        assert _rejected_by_exp_row_sums(lb)
+        with pytest.raises(ValueError, match="sum to 1"):
+            ModelParams.create(np.zeros(3), np.eye(3), [lb])
 
 
 def objective(params, bags):
@@ -651,3 +743,14 @@ class TestColdStart:
         for given, expected in ((starts, starts), (None, cold_starts)):
             posteriors, _ = infer_block(records, params, given)
             assert np.array_equal([post.nu_hat for post in posteriors], expected)
+
+
+class TestCrawlingRecord:
+    """A K=50 record on few distinct tokens that damped Newton does not finish."""
+
+    def test_cold_start_reports_the_record_unconverged_at_the_cap(self):
+        params, record = crawling_k50_record()
+        assert sum(record.bags[0].values()) == 42_000_000 and len(record.bags[0]) == 8
+        (post,), _ = infer_block([record], params)
+        assert not post.converged
+        assert post.iterations == numerics.NEWTON_MAX_ITERS
