@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import orjson
 
@@ -108,8 +108,17 @@ class RecordBags:
 
 @dataclass(frozen=True)
 class Corpus:
+    """Vocabularies and the records over them, checked when built.
+
+    Every token index must lie in its type's vocabulary and every count be a
+    positive integer up to ``MAX_COUNT``. ``indices_checked`` skips the first
+    check, for records whose indices came from a vocabulary lookup (as
+    :func:`read_records_jsonl` makes them); their counts are still checked.
+    """
+
     vocabularies: tuple
     records: tuple
+    indices_checked: InitVar[bool] = False
 
     @property
     def num_types(self) -> int:
@@ -119,16 +128,16 @@ class Corpus:
     def num_records(self) -> int:
         return len(self.records)
 
-    def __post_init__(self):
+    def __post_init__(self, indices_checked):
         if self.num_types < 1:
             raise CorpusError("corpus needs at least one data type")
         if self.num_records < 1:
             raise CorpusError("no records")
         for rec in self.records:
-            _validate_record(rec, self.vocabularies)
+            _validate_record(rec, self.vocabularies, indices_checked)
 
 
-def _validate_record(rec: RecordBags, vocabularies) -> None:
+def _validate_record(rec: RecordBags, vocabularies, indices_checked: bool) -> None:
     if len(rec.bags) != len(vocabularies):
         raise CorpusError(
             f"record {rec.record_id!r} has {len(rec.bags)} bags, expected {len(vocabularies)}"
@@ -137,7 +146,7 @@ def _validate_record(rec: RecordBags, vocabularies) -> None:
         size = vocab.size
         for idx, count in bag.items():
             # type(...) is int: bool subclasses int but is not a count or index
-            if type(idx) is not int or not 0 <= idx < size:
+            if not indices_checked and (type(idx) is not int or not 0 <= idx < size):
                 raise CorpusError(
                     f"record {rec.record_id!r}: token index {idx!r} invalid for "
                     f"type {vocab.type_name!r} (size {size})"
@@ -162,7 +171,8 @@ def _parse_vocabularies(raw) -> tuple:
 
 
 def _parse_record(obj, vocabularies, lookups, line_no: int) -> RecordBags:
-    """Resolve one record's token strings to indices; :class:`Corpus` checks the counts."""
+    """Resolve one record's token strings to indices, one lookup each; :class:`Corpus`
+    checks the counts."""
     where = f"records line {line_no}"
     if not isinstance(obj, dict):
         raise CorpusError(f"{where}: expected a JSON object")
@@ -186,14 +196,12 @@ def _parse_record(obj, vocabularies, lookups, line_no: int) -> RecordBags:
         raw = raw_bags.get(vocab.type_name, {})
         if not isinstance(raw, dict):
             raise CorpusError(f"{where}: bag for type {vocab.type_name!r} must be an object")
-        bag = {}
-        for token, count in raw.items():
-            if token not in lookup:
-                raise CorpusError(
-                    f"{where}: unknown token {token!r} for type {vocab.type_name!r}"
-                )
-            bag[lookup[token]] = count
-        bags.append(bag)
+        try:
+            bags.append({lookup[token]: count for token, count in raw.items()})
+        except KeyError as exc:
+            raise CorpusError(
+                f"{where}: unknown token {exc.args[0]!r} for type {vocab.type_name!r}"
+            ) from None
     return RecordBags(record_id=record_id, bags=tuple(bags), time_bin=time_bin)
 
 
@@ -241,7 +249,7 @@ def _read_records(path, vocabularies, parse) -> Corpus:
                 records.append(rec)
     except UnicodeDecodeError as exc:
         raise CorpusError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-    return Corpus(vocabularies=vocabularies, records=tuple(records))
+    return Corpus(vocabularies=vocabularies, records=tuple(records), indices_checked=True)
 
 
 def load_corpus(path) -> Corpus:

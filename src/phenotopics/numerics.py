@@ -125,7 +125,7 @@ def _pd_inverse(matrix: np.ndarray):
     return 0.5 * (inverse + inverse.T), logdet, ridge
 
 
-def maximize_concave(evaluate, x0) -> NewtonResult:
+def maximize_concave(evaluate, x0, start=None) -> NewtonResult:
     """Damped Newton ascent with backtracking line search, on every row of x0 at once.
 
     Each row of ``x0`` (shape (R, K)) starts an independent ascent; the rows
@@ -133,11 +133,14 @@ def maximize_concave(evaluate, x0) -> NewtonResult:
     ``evaluate(rows, x)`` returns the objective's evaluation at ``x[i]`` for
     row ``rows[i]``: an object with a float array ``value``, methods
     ``gradient()`` (n, K) and ``hessian()`` (n, K, K), ``take(selection)``
-    for a subset of its rows and a classmethod ``concat(evaluations)``. The
-    driver evaluates each point once. It reads only ``value`` at a
-    line-search candidate, ``gradient()`` at the start and at each accepted
-    iterate, and ``hessian()`` only where it takes a step (or reports the step
-    left), so an objective can defer what only an accepted iterate needs.
+    for a subset of its rows and a classmethod ``concat(evaluations)``.
+    ``start``, if given, is that evaluation at ``x0`` for rows 0..R-1, made
+    by the caller (a warm-up that ends at ``x0``, say), and the driver does
+    not make it again. The driver evaluates each point once. It reads only
+    ``value`` at a line-search candidate, ``gradient()`` at the start and at
+    each accepted iterate, and ``hessian()`` only where it takes a step (or
+    reports the step left), so an objective can defer what only an accepted
+    iterate needs.
 
     The objective need not be concave: where a row's Hessian is not negative
     definite, its step solves the system ridged by :func:`ridged_cholesky`
@@ -170,7 +173,7 @@ def maximize_concave(evaluate, x0) -> NewtonResult:
     """
     x = np.array(x0, dtype=float)
     active = np.arange(x.shape[0])
-    point = evaluate(active, x)
+    point = evaluate(active, x) if start is None else start
     fx = np.array(point.value, dtype=float)
     if not np.isfinite(fx).all():
         raise NonFiniteError(f"non-finite objective at start: f({x!r}) = {fx!r}")

@@ -614,8 +614,10 @@ class TestSummarize:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_manifest_counts_nonconverged_segments(self, trained, tmp_path, monkeypatch):
-        # one Newton step from the cold start already converges these
-        # segments, so cap at 0: each stops at its start
+        # the cold start's EM steps already converge these segments, and one
+        # Newton step from its log E does too; so take no EM step and cap
+        # Newton at 0, and each stops at its log E start
+        monkeypatch.setattr(variational, "COLD_START_EM_STEPS", 0)
         monkeypatch.setattr(numerics, "NEWTON_MAX_ITERS", 0)
         posteriors = []
 

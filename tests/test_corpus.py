@@ -264,6 +264,24 @@ class TestCorpusValidation:
         with pytest.raises(CorpusError, match="token index True"):
             Corpus(vocabularies=self.VOCABS, records=(RecordBags("r", ({True: 1},)),))
 
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_out_of_range_token_index_rejected(self, index):
+        with pytest.raises(CorpusError, match=f"token index {index} invalid"):
+            Corpus(vocabularies=self.VOCABS, records=(RecordBags("r", ({0: 1, index: 1},)),))
+
+    @pytest.mark.parametrize("count", [0, 1.5, True, 2**53 + 1])
+    def test_a_bad_count_read_from_a_file_is_the_in_memory_error(self, tmp_path, count):
+        # a file's indices come from the vocabulary lookup and are not checked
+        # again; its counts are, with the same message
+        path = write_corpus_dir(
+            tmp_path, {"dx": ["a", "b"]}, [{"id": "r", "bags": {"dx": {"a": 1, "b": count}}}]
+        )
+        with pytest.raises(CorpusError) as from_file:
+            load_corpus(path)
+        with pytest.raises(CorpusError) as in_memory:
+            Corpus(vocabularies=self.VOCABS, records=(RecordBags("r", ({0: 1, 1: count},)),))
+        assert str(from_file.value) == str(in_memory.value)
+
 
 class TestSaveCorpus:
     def test_round_trip_preserves_empty_bags(self, tmp_path):

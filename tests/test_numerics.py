@@ -331,6 +331,23 @@ class TestMaximizeConcave:
         assert result.point.ids.tolist() == [5, 3]  # row for row
         np.testing.assert_array_equal(result.x, [[0.0], [0.0]])
 
+    def test_a_start_evaluation_given_is_used_and_not_made_again(self):
+        # the rows of the test above; the caller evaluates the starts itself
+        objective = CountingObjective(
+            lambda row, x: -0.5 * float(x @ x),
+            lambda row, x: -x,
+            lambda row, x: -(0.25 if row == 0 else 1.0) * np.eye(1),
+        )
+        start = objective.evaluate(np.arange(2), np.ones((2, 1)))
+        result = maximize_concave(objective.evaluate, np.ones((2, 1)), start)
+        assert result.status == ["converged", "converged"]
+        # the same points as there: the starts once, then the candidates
+        assert [(p.row, float(p.x[0])) for p in objective.points] == [
+            (0, 1.0), (1, 1.0), (0, -3.0), (1, 0.0), (0, -1.0), (0, 0.0)
+        ]
+        assert objective.gradient_reads == [0, 1, 3, 5]
+        assert result.point.ids.tolist() == [5, 3]
+
     def test_reads_one_more_hessian_at_max_iters(self, monkeypatch):
         monkeypatch.setattr(numerics, "NEWTON_MAX_ITERS", 3)
         monkeypatch.setattr(numerics, "NEWTON_GRAD_TOL", 1e-300)

@@ -8,14 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phenotopics import numerics
+from phenotopics import numerics, variational
 from phenotopics.corpus import RecordBags
 from phenotopics.learning import BETA_SMOOTHING
 from phenotopics.numerics import softmax
 from phenotopics.synth import sample_corpus
 from phenotopics.variational import (
+    COLD_START_EM_STEPS,
     MIN_COLUMN_MASS,
     ROW_SUM_TOL,
+    Evaluation,
     ModelParams,
     ModeObjective,
     _cold_starts,
@@ -677,7 +679,7 @@ class TestBlock:
 
 
 class TestColdStart:
-    """The default start, one EM step past the prior mean, reaches the modes a start at mu0 does."""
+    """The default start, EM steps past the prior mean, reaches the modes a start at mu0 does."""
 
     @staticmethod
     def assert_same_modes(records, params):
@@ -697,15 +699,112 @@ class TestColdStart:
         slope = point.gradient().sum(axis=1)
         assert np.abs(slope).max() <= 1e-9 * max(1.0, objective.n_total.max())
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_k50_blocks_reach_the_mu0_modes_in_fewer_iterations(self, seed):
+    @staticmethod
+    def k50_block(seed):
         params, vocabularies = k50_params()
         corpus, _ = sample_corpus(params, 8, [400] * 4, seed, vocabularies=vocabularies)
-        records = list(corpus.records)
+        return params, list(corpus.records)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_k50_blocks_reach_the_mu0_modes_in_fewer_iterations(self, seed):
+        params, records = self.k50_block(seed)
         cold, warm = self.assert_same_modes(records, params)
         assert sum(post.iterations for post in cold) < sum(post.iterations for post in warm)
         objective = ModeObjective(records, params)
-        self.assert_on_prior_ridge(objective, _cold_starts(objective))
+        self.assert_on_prior_ridge(objective, _cold_starts(objective)[0])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_k50_em_steps_reach_the_log_e_modes_with_fewer_hessians(self, seed, monkeypatch):
+        params, records = self.k50_block(seed)
+        hessian_rows = []
+        hessian = Evaluation.hessian
+
+        def counted_hessian(evaluation):
+            hessian_rows.append(evaluation.rows.size)
+            return hessian(evaluation)
+
+        monkeypatch.setattr(Evaluation, "hessian", counted_hessian)
+        runs = {}
+        for steps in (0, COLD_START_EM_STEPS):  # 0: the log E start alone
+            monkeypatch.setattr(variational, "COLD_START_EM_STEPS", steps)
+            hessian_rows.clear()
+            posteriors, mode = infer_block(records, params)
+            runs[steps] = posteriors, mode, sum(hessian_rows)
+        (log_e, log_e_mode, log_e_hessians) = runs[0]
+        (stepped, stepped_mode, stepped_hessians) = runs[COLD_START_EM_STEPS]
+        assert [post.converged for post in stepped] == [post.converged for post in log_e]
+        np.testing.assert_allclose(stepped_mode.pi, log_e_mode.pi, rtol=0, atol=1e-8)
+        np.testing.assert_allclose([post.nu_hat for post in stepped],
+                                   [post.nu_hat for post in log_e], rtol=0, atol=1e-5)
+        np.testing.assert_allclose([post.elbo for post in stepped],
+                                   [post.elbo for post in log_e], rtol=1e-9, atol=0)
+        assert sum(post.iterations for post in stepped) < sum(post.iterations for post in log_e)
+        assert stepped_hessians < log_e_hessians
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_k50_em_steps_never_lower_g_and_stay_on_the_prior_ridge(self, seed, monkeypatch):
+        params, records = self.k50_block(seed)
+        objective = ModeObjective(records, params)
+        rows = np.arange(len(records))
+        values = []
+        for steps in range(COLD_START_EM_STEPS + 1):
+            monkeypatch.setattr(variational, "COLD_START_EM_STEPS", steps)
+            starts, point = _cold_starts(objective)
+            # the evaluation handed to the ascent is the one at the starts
+            assert np.array_equal(point.rows, rows)
+            assert np.array_equal(point.value, objective.evaluate(rows, starts).value)
+            self.assert_on_prior_ridge(objective, starts)
+            values.append(point.value)
+        rises = np.diff(values, axis=0)
+        assert (rises >= 0).all()
+        assert (rises[0] > 0).all()
+
+    @pytest.mark.parametrize("scale", [0.1, np.nan])
+    def test_em_steps_that_lower_g_or_are_not_finite_are_not_taken(self, scale, monkeypatch):
+        # a curvature 10x too flat sends every step far past the mode, where g
+        # is lower; a nan curvature gives nan steps, which are not evaluated
+        params, records = self.k50_block(0)
+        objective = ModeObjective(records, params)
+        monkeypatch.setattr(variational, "COLD_START_EM_STEPS", 0)
+        log_e, _ = _cold_starts(objective)
+        monkeypatch.setattr(variational, "COLD_START_EM_STEPS", 3)
+        laplace_hessian = variational._laplace_hessian
+        monkeypatch.setattr(variational, "_laplace_hessian",
+                            lambda *args: scale * laplace_hessian(*args))
+        starts, point = _cold_starts(objective)
+        assert np.array_equal(starts, log_e)
+        assert np.array_equal(point.value, objective.evaluate(np.arange(len(records)), log_e).value)
+
+    def test_em_steps_that_barely_cut_the_gradient_are_not_taken(self, monkeypatch):
+        # near-uniform topics, as training starts from: q(z) is close to pi
+        # for every token, so the step to log E cuts no gradient by half
+        rng = np.random.default_rng(0)
+        params = make_params(np.zeros(6), np.eye(6), [rng.dirichlet(np.full(30, 1000.0), size=6)])
+        records = [random_record(rng, params, [400], f"r{d}") for d in range(5)]
+        objective = ModeObjective(records, params)
+        starts, _ = _cold_starts(objective)
+        monkeypatch.setattr(variational, "COLD_START_EM_STEPS", 0)
+        log_e, _ = _cold_starts(objective)
+        assert np.array_equal(starts, log_e)
+        monkeypatch.setattr(variational, "COLD_START_EM_STEPS", 3)
+        monkeypatch.setattr(variational, "COLD_START_MIN_CONTRACTION", 0.0)
+        stepped, _ = _cold_starts(objective)
+        assert not np.array_equal(stepped, log_e)
+
+    def test_a_singular_prior_curvature_leaves_the_log_e_starts(self, monkeypatch):
+        # 2**55 tokens: N pi_k (1 - pi_k) = 2**53 at pi = (1/2, 1/2), where
+        # adding sigma0_inv's 1 rounds away, so -H_L is exactly singular
+        params = make_params([0.0, 0.0], np.eye(2), [[[0.4, 0.1, 0.4, 0.1],
+                                                      [0.1, 0.4, 0.1, 0.4]]])
+        records = [RecordBags("huge", ({v: 2**53 for v in range(4)},))]
+        objective = ModeObjective(records, params)
+        starts, point = _cold_starts(objective)
+        monkeypatch.setattr(variational, "COLD_START_EM_STEPS", 0)
+        log_e, _ = _cold_starts(objective)
+        assert np.array_equal(starts, log_e)
+        assert np.array_equal(point.value, objective.evaluate([0], starts).value)
+        (post,), _ = infer_block(records, params)
+        assert np.isfinite(post.nu_hat).all()
 
     def test_edge_records_start_finite_and_reach_the_mu0_modes(self):
         # phenotype 2 gives tokens 0 and 1 of both types a probability that
@@ -724,7 +823,7 @@ class TestColdStart:
         objective = ModeObjective(records, params)
         at_mu0 = objective.evaluate(np.arange(3), np.tile(params.mu0, (3, 1)))
         assert at_mu0.expected.sum(axis=1)[2, 2] == 0.0
-        starts = _cold_starts(objective)
+        starts, _ = _cold_starts(objective)
         assert np.isfinite(starts).all()
         assert np.array_equal(starts[0], params.mu0)
         assert np.array_equal(starts[2], params.mu0)
@@ -736,7 +835,7 @@ class TestColdStart:
         params = random_params(rng, 5, [6, 4])
         records = [random_record(rng, params, [10, 5], f"r{d}") for d in range(3)]
         starts = rng.normal(size=(3, 5))
-        cold_starts = _cold_starts(ModeObjective(records, params))
+        cold_starts, _ = _cold_starts(ModeObjective(records, params))
         assert not np.array_equal(cold_starts, np.tile(params.mu0, (3, 1)))
         # with no iteration allowed, every record stops where it started
         monkeypatch.setattr(numerics, "NEWTON_MAX_ITERS", 0)
