@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .corpus import Corpus, CorpusError, RecordBags, Vocabulary, load_corpus, save_corpus
 from .learning import TrainConfig, TrainedModel, initialize, load_model, m_step, save_model, train
-from .numerics import maximize_concave, softmax
 from .phenotype import PhenotypeDefinition, RelatednessGraph, correlation_graph, extract_phenotypes
 from .summarize import (
     SummaryTrajectory,
@@ -20,7 +19,7 @@ from .summarize import (
     summarize_record,
 )
 from .synth import PlantedModel, RecoveryReport, match_phenotypes, recovery_report, sample_corpus
-from .variational import DocPosterior, ModelParams, infer_block, infer_document
+from .variational import DocPosterior, ModelParams, infer_block
 
 __all__ = [
     "Corpus",
@@ -42,18 +41,15 @@ __all__ = [
     "export_sankey",
     "extract_phenotypes",
     "infer_block",
-    "infer_document",
     "initialize",
     "load_corpus",
     "load_model",
     "m_step",
     "match_phenotypes",
-    "maximize_concave",
     "recovery_report",
     "sample_corpus",
     "save_corpus",
     "save_model",
-    "softmax",
     "summarize_record",
     "train",
 ]

@@ -14,8 +14,10 @@ rerunning with the same inputs reproduces the primary outputs byte for byte
 
 All randomness flows through --seed. The E-step thread count comes from
 --threads, the PHENOTOPICS_THREADS environment variable, or is 1, in that
-order; :func:`main` checks it once for every command, so a count below 1 exits
-1 wherever it is given. It never changes results, only wall time.
+order. train, eval and coverage use it; summarize infers on one thread and
+phenotypes does no inference. :func:`main` checks it once for every command,
+so a count below 1 exits 1 wherever it is given. It never changes results,
+only wall time.
 ``--config file.json`` supplies defaults for any flag of the invoked
 subcommand; explicit flags win. Each value must have the JSON type its flag
 takes (an integer, a number or a string): a wrong type exits 1, a file that
@@ -313,7 +315,8 @@ def build_parser():
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON file of flag defaults")
-    common.add_argument("--threads", type=int, default=None, help="E-step thread cap")
+    common.add_argument("--threads", type=int, default=None,
+                        help="E-step thread cap (train, eval, coverage)")
     common.add_argument("--out", default=".", help="output directory")
 
     p = sub.add_parser("train", parents=[common], help="fit a model on a corpus")

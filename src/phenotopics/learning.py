@@ -191,9 +191,11 @@ def _blocks(records) -> list:
     return bounds
 
 
-def _e_step(corpus, params, warm_starts, threads, topic_counts=False):
-    """Posteriors of every record, one :func:`infer_block` per block of records.
+def _e_step(records, params, warm_starts, threads, topic_counts=False):
+    """Posteriors of ``records``, one :func:`infer_block` per block of them.
 
+    The one loop over blocks: training, :func:`attach_posteriors` and
+    :func:`~phenotopics.summarize.summarize_record` all infer through it.
     Records start at their rows of ``warm_starts``, or, when it is ``None``,
     at :func:`infer_block`'s cold start. Threads map over the blocks of
     :func:`_blocks`, and results are combined in block order, so the thread
@@ -205,7 +207,7 @@ def _e_step(corpus, params, warm_starts, threads, topic_counts=False):
     def infer(bounds):
         start, stop = bounds
         starts = None if warm_starts is None else warm_starts[start:stop]
-        posteriors, mode = infer_block(corpus.records[start:stop], params, starts)
+        posteriors, mode = infer_block(records[start:stop], params, starts)
         if not topic_counts:
             return posteriors, ()
         objective = mode.objective
@@ -219,7 +221,7 @@ def _e_step(corpus, params, warm_starts, threads, topic_counts=False):
 
     posteriors = []
     sums = [np.zeros_like(lb) for lb in params.log_beta] if topic_counts else None
-    blocks = _blocks(corpus.records)
+    blocks = _blocks(records)
     with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
         # map yields in submission order, so the combined result (and
         # everything downstream) is independent of thread scheduling
@@ -251,7 +253,7 @@ def train(corpus: Corpus, cfg: TrainConfig, threads: int = 1) -> TrainedModel:
     prev_obj = None
 
     for _ in range(cfg.max_em_iters):
-        posteriors, topic_counts = _e_step(corpus, params, warm, threads, topic_counts=True)
+        posteriors, topic_counts = _e_step(corpus.records, params, warm, threads, topic_counts=True)
         warm = [post.nu_hat for post in posteriors]
         obj = float(sum(post.elbo for post in posteriors))
         history.append(obj)
@@ -279,7 +281,7 @@ def attach_posteriors(model: TrainedModel, corpus: Corpus, threads: int = 1) -> 
     them from a corpus; the corpus must match the model's vocabularies.
     """
     check_compatible(model, corpus.vocabularies)
-    posteriors, _ = _e_step(corpus, model.params, None, threads)
+    posteriors, _ = _e_step(corpus.records, model.params, None, threads)
     return replace(model, doc_posteriors=posteriors)
 
 

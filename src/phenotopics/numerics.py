@@ -40,7 +40,7 @@ def softmax(v) -> np.ndarray:
     return _log_normalize(_require_finite(np.asarray(v, dtype=float), "softmax input"))[0]
 
 
-# Damped Newton ascent in :func:`maximize_concave`: iteration budget, gradient
+# Damped Newton ascent in :func:`newton_ascent`: iteration budget, gradient
 # sup-norm tolerance, and the backtracking line search's shrink factor and
 # smallest step fraction.
 NEWTON_MAX_ITERS = 100
@@ -58,10 +58,6 @@ class NewtonResult:
     iterations: np.ndarray  # (R,) ints
     step_norm: np.ndarray  # (R,): sup-norm of the Newton step left at x; 0 when converged
     status: list  # per row: "converged" | "max_iters" | "line_search_failure"
-
-    @property
-    def converged(self) -> np.ndarray:
-        return np.array([status == "converged" for status in self.status], dtype=bool)
 
 
 def ridged_cholesky(matrix: np.ndarray):
@@ -125,7 +121,7 @@ def _pd_inverse(matrix: np.ndarray):
     return 0.5 * (inverse + inverse.T), logdet, ridge
 
 
-def maximize_concave(evaluate, x0, start=None) -> NewtonResult:
+def newton_ascent(evaluate, x0, start=None) -> NewtonResult:
     """Damped Newton ascent with backtracking line search, on every row of x0 at once.
 
     Each row of ``x0`` (shape (R, K)) starts an independent ascent; the rows

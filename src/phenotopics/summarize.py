@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .learning import TrainedModel, _blocks
-from .variational import infer_block
+from .learning import TrainedModel, _e_step
 
 # Emitted sankey documents follow this structure; nodes exist for every
 # (selected phenotype, bin) pair even at zero salience so renderers keep a
@@ -62,8 +61,9 @@ class SummaryTrajectory:
     """Salience of the selected phenotypes across ordered time bins.
 
     ``salience[b][s]`` is the posterior proportion of ``selected[s]`` in bin b;
-    ``residual[b]`` is the proportion mass outside the selected set, and
-    ``nonconverged_segments`` counts the bins whose posterior did not converge.
+    ``residual[b]`` is the proportion mass outside the selected set (never
+    below 0), and ``nonconverged_segments`` counts the bins whose posterior
+    did not converge.
     """
 
     record_id: str
@@ -77,9 +77,10 @@ class SummaryTrajectory:
 def summarize_record(segments, model: TrainedModel, top_n: int = 5) -> SummaryTrajectory:
     """Infer the segments under frozen params and track the top-N phenotypes.
 
-    The segments are inferred a block at a time, cut as the E-step cuts a
-    corpus (``learning.BLOCK_TOKENS``), so a patient with few segments is one
-    block and a long history does not hold all its beta columns at once.
+    The segments are inferred by the E-step on one thread, in blocks of at
+    most ``learning.BLOCK_TOKENS`` distinct tokens, so a patient with few
+    segments is one block and a long history does not hold all its beta
+    columns at once.
     Selection uses the final (most recent) bin's proportions, ties broken by
     phenotype index; trajectories are then reported for every bin. Segments
     must share one record_id and reference the model's vocabularies.
@@ -93,9 +94,7 @@ def summarize_record(segments, model: TrainedModel, top_n: int = 5) -> SummaryTr
     if any(seg.record_id != record_id for seg in segments):
         raise ValueError("segments must share one record_id")
 
-    posteriors = []
-    for start, stop in _blocks(segments):
-        posteriors += infer_block(segments[start:stop], model.params)[0]
+    posteriors, _ = _e_step(segments, model.params, None, 1)
     proportions = np.stack([post.proportions for post in posteriors])
     bins = [
         seg.time_bin if seg.time_bin is not None else str(pos)
@@ -109,7 +108,8 @@ def summarize_record(segments, model: TrainedModel, top_n: int = 5) -> SummaryTr
     selected = [int(k) for k in order[:top_n]]
 
     salience = proportions[:, selected]
-    residual = 1.0 - salience.sum(axis=1)
+    # with every phenotype selected the sum can round above 1
+    residual = np.maximum(1.0 - salience.sum(axis=1), 0.0)
     return SummaryTrajectory(
         record_id=record_id,
         bins=bins,

@@ -15,8 +15,8 @@ approximated by
 each Newton iteration evaluates every still-active record at once, each
 record keeps its own step size and stopping rule, and leaves the block as
 soon as it stops. A record's arithmetic is its own, so its posterior does not
-depend on the block it shares beyond the last digits; :func:`infer_document`
-is a block of one.
+depend on the block it shares beyond the last digits, and one record is
+inferred as a block of one.
 
 The mode is the fixed point of alternating the two updates (Laplace
 variational inference, Wang & Blei 2013, on the correlated topic model's
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import RecordBags
-from .numerics import NonFiniteError, _log_normalize, _pd_inverse, maximize_concave
+from .numerics import NonFiniteError, _log_normalize, _pd_inverse, newton_ascent
 
 
 # How far a topic row's probabilities may sum from 1 before params are rejected.
@@ -313,7 +313,7 @@ class Evaluation:
     each call. Everything comes from the one pass over the masses, so an
     evaluation the line search rejects costs no expected counts. ``take`` and
     ``concat`` select and join rows without recomputing them, as
-    :func:`~phenotopics.numerics.maximize_concave` needs. ``expected`` is kept
+    :func:`~phenotopics.numerics.newton_ascent` needs. ``expected`` is kept
     by a plain ``None`` check rather than a functools cached property, which
     on Python 3.10/3.11 takes a class-wide lock that would serialize threaded
     E-steps.
@@ -521,10 +521,10 @@ def infer_block(records, params: ModelParams, starts=None):
     EM steps past the prior mean (:func:`_cold_starts`), which takes about a
     third of the Newton iterations a start at mu0 takes at K=50 and reaches
     the same mode; the ascent reuses the evaluation the steps end with.
-    :func:`~phenotopics.numerics.maximize_concave` climbs
-    every record's :class:`ModeObjective` at once; a record leaves the block
-    as soon as it stops. q(z) is read off at the mode, and the covariance is
-    the inverse of N (diag(pi) - pi pi') + sigma0_inv there. A record counts
+    :func:`~phenotopics.numerics.newton_ascent` climbs every record's
+    :class:`ModeObjective` at once; a record leaves the block as soon as it
+    stops. q(z) is read off at the mode, and the covariance is the inverse of
+    N (diag(pi) - pi pi') + sigma0_inv there. A record counts
     as converged when the Newton step left at its returned mode is at most
     ``CONVERGED_STEP_TOL`` in sup-norm: the step is 0 where Newton met its
     gradient tolerance, and small where the float floor of the objective
@@ -550,7 +550,7 @@ def infer_block(records, params: ModelParams, starts=None):
     start = None
     if starts is None:
         starts, start = _cold_starts(objective)
-    result = maximize_concave(objective.evaluate, np.array(starts, dtype=float), start)
+    result = newton_ascent(objective.evaluate, np.array(starts, dtype=float), start)
     mode = result.point
     hessian = _laplace_hessian(mode.pi, objective.n_total, params)
     expected = mode.expected
@@ -575,8 +575,3 @@ def infer_block(records, params: ModelParams, starts=None):
         )
     return posteriors, mode
 
-
-def infer_document(record: RecordBags, params: ModelParams, nu_init=None) -> DocPosterior:
-    """Laplace posterior for one record: :func:`infer_block` on a block of one."""
-    posteriors, _ = infer_block([record], params, None if nu_init is None else [nu_init])
-    return posteriors[0]

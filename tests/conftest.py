@@ -5,7 +5,7 @@ import pytest
 
 from phenotopics.corpus import Corpus, RecordBags, Vocabulary
 from phenotopics.synth import Scenario
-from phenotopics.variational import ModelParams
+from phenotopics.variational import ModelParams, infer_block
 
 
 def make_params(mu0, sigma0, betas):
@@ -15,6 +15,13 @@ def make_params(mu0, sigma0, betas):
         np.asarray(sigma0, dtype=float),
         [np.log(np.asarray(b, dtype=float)) for b in betas],
     )
+
+
+def infer_one(record, params, start=None):
+    """The posterior of one record: :func:`infer_block` on a block of one,
+    started at ``start`` or, by default, cold."""
+    posteriors, _ = infer_block([record], params, None if start is None else [start])
+    return posteriors[0]
 
 
 def random_params(rng, k, vocab_sizes, concentration=0.5):

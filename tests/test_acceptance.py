@@ -25,9 +25,9 @@ from phenotopics.summarize import (
     summarize_record,
 )
 from phenotopics.synth import get_preset, recovery_report, sample_scenario
-from phenotopics.variational import ModelParams, ModeObjective, infer_document
+from phenotopics.variational import ModelParams, ModeObjective
 
-from .conftest import make_params, random_params, random_record, two_block_corpus
+from .conftest import infer_one, make_params, random_params, random_record, two_block_corpus
 from .oracles import fd_jacobian, finite_difference_gradient, scan_coverage_count
 
 
@@ -77,7 +77,7 @@ def test_criterion_02_laplace_no_data_returns_prior():
     for k in (2, 4, 8):
         params = random_params(rng, k, [5])
         start = params.mu0 + rng.normal(size=k)
-        post = infer_document(RecordBags("empty", ({},)), params, nu_init=start)
+        post = infer_one(RecordBags("empty", ({},)), params, start=start)
         assert post.converged
         worst_mode = max(worst_mode, np.abs(post.nu_hat - params.mu0).max())
         worst_cov = max(worst_cov, np.abs(post.nu_cov - params.sigma0).max())
@@ -113,7 +113,7 @@ def test_criterion_03_small_instance_posterior_oracle():
     weights = like * np.exp(-0.5 * (nus**2).sum(axis=1))
     oracle_mean = (weights[:, None] * pis).sum(axis=0) / weights.sum()
 
-    post = infer_document(record, params)
+    post = infer_one(record, params)
     ranking = np.argsort(-post.proportions)
     oracle_ranking = np.argsort(-oracle_mean)
     gap = float(np.abs(post.proportions - oracle_mean).max())
@@ -182,7 +182,7 @@ def test_criterion_06_normalization_and_conservation():
     worst_conserve = 0.0
     sigma_pd = True
     for _ in range(8):
-        posts, topic_counts = _e_step(corpus, params, warm, threads=1, topic_counts=True)
+        posts, topic_counts = _e_step(corpus.records, params, warm, threads=1, topic_counts=True)
         modes = ModeObjective(corpus.records, params).evaluate(
             np.arange(corpus.num_records), [post.nu_hat for post in posts]
         )

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phenotopics import cli, learning, numerics, summarize, variational
+from phenotopics import cli, learning, numerics, variational
 from phenotopics.cli import main
 from phenotopics.corpus import Corpus, RecordBags, Vocabulary, save_corpus
 from phenotopics.learning import TrainConfig, TrainedModel, save_model, vocab_fingerprint
@@ -626,7 +626,7 @@ class TestSummarize:
             posteriors.extend(result[0])
             return result
 
-        monkeypatch.setattr(summarize, "infer_block", infer_block)
+        monkeypatch.setattr(learning, "infer_block", infer_block)
         record_file = self.write_segments(
             tmp_path,
             [{"id": rid, "time_bin": f"y{i}", "bags": {"dx": {"w0": 3 + i, "w4": 5 - i}}}

@@ -201,7 +201,7 @@ class TestMStep:
         cfg = TrainConfig(K=3, seed=2)
         params = initialize(corpus, cfg)
         posts, topic_counts = _e_step(
-            corpus, params, [params.mu0] * 5, threads=1, topic_counts=True
+            corpus.records, params, [params.mu0] * 5, threads=1, topic_counts=True
         )
         new = m_step(posts, topic_counts, params)
         for lb in new.log_beta:
@@ -225,7 +225,7 @@ class TestMStep:
         corpus = tiny_corpus(num_types=2, num_records=3)
         params = initialize(corpus, TrainConfig(K=2))
         posts, topic_counts = _e_step(
-            corpus, params, [params.mu0] * 3, threads=1, topic_counts=True
+            corpus.records, params, [params.mu0] * 3, threads=1, topic_counts=True
         )
         with pytest.raises(ValueError, match="at least one posterior"):
             m_step([], topic_counts, params)
@@ -241,7 +241,7 @@ class TestMStep:
         params = initialize(corpus, TrainConfig(K=4, seed=5))
         rng = np.random.default_rng(9)
         warm = list(rng.normal(size=(corpus.num_records, 4)))
-        posts, topic_counts = _e_step(corpus, params, warm, threads=2, topic_counts=True)
+        posts, topic_counts = _e_step(corpus.records, params, warm, threads=2, topic_counts=True)
         oracle = topic_counts_at(corpus, params, [p.nu_hat for p in posts])
         for got, want in zip(topic_counts, oracle):
             assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
@@ -313,7 +313,8 @@ class TestTrain:
         def run_em(params):
             for _ in range(10):
                 posts, topic_counts = _e_step(
-                    corpus, params, [params.mu0] * corpus.num_records, threads=1, topic_counts=True
+                    corpus.records, params, [params.mu0] * corpus.num_records,
+                    threads=1, topic_counts=True,
                 )
                 params = m_step(posts, topic_counts, params)
             return params
@@ -333,7 +334,9 @@ class TestTrain:
         params = initialize(corpus, cfg)
         warm = [params.mu0] * corpus.num_records
         for _ in range(8):
-            posts, topic_counts = _e_step(corpus, params, warm, threads=1, topic_counts=True)
+            posts, topic_counts = _e_step(
+                corpus.records, params, warm, threads=1, topic_counts=True
+            )
             unconverged = [
                 rec.record_id for rec, post in zip(corpus.records, posts) if not post.converged
             ]

@@ -15,7 +15,7 @@ from phenotopics.numerics import (
     _cholesky_solve,
     _log_normalize,
     _pd_inverse,
-    maximize_concave,
+    newton_ascent,
     ridged_cholesky,
     softmax,
 )
@@ -178,7 +178,7 @@ class TestPdInverse:
 
 
 class CountingObjective:
-    """A fake block objective for :func:`maximize_concave` from value, gradient
+    """A fake block objective for :func:`newton_ascent` from value, gradient
     and Hessian functions of (row, x). It numbers every point it evaluates and
     records, by that number, the points whose gradient or Hessian the driver
     reads."""
@@ -221,7 +221,7 @@ class Points:
 
 
 def points(f, grad, hess):
-    """``evaluate`` for :func:`maximize_concave` from value, gradient and Hessian functions of x,
+    """``evaluate`` for :func:`newton_ascent` from value, gradient and Hessian functions of x,
     the same for every row."""
     return CountingObjective(
         lambda row, x: f(x), lambda row, x: grad(x), lambda row, x: hess(x)
@@ -231,7 +231,7 @@ def points(f, grad, hess):
 class TestMaximizeConcave:
     def test_quadratic_one_step(self):
         a = np.array([2.0, -1.0, 0.5])
-        result = maximize_concave(
+        result = newton_ascent(
             points(
                 lambda x: -0.5 * float((x - a) @ (x - a)),
                 lambda x: a - x,
@@ -239,7 +239,7 @@ class TestMaximizeConcave:
             ),
             np.zeros((1, 3)),
         )
-        assert result.converged.tolist() == [True]
+        assert result.status == ["converged"]
         assert result.iterations.tolist() == [1]
         np.testing.assert_allclose(result.x[0], a, atol=1e-12)
 
@@ -252,7 +252,7 @@ class TestMaximizeConcave:
             a = root @ root.T + np.eye(k)
             b = rng.normal(size=k)
             x_star = np.linalg.solve(a, b)
-            result = maximize_concave(
+            result = newton_ascent(
                 points(
                     lambda x: float(b @ x - 0.5 * x @ a @ x),
                     lambda x: b - a @ x,
@@ -260,7 +260,7 @@ class TestMaximizeConcave:
                 ),
                 rng.normal(size=(3, k)),
             )
-            assert result.converged.all()
+            assert result.status == ["converged"] * 3
             np.testing.assert_allclose(result.x, np.tile(x_star, (3, 1)), atol=1e-8)
 
     def test_gradient_norm_meets_tolerance(self, monkeypatch):
@@ -270,7 +270,7 @@ class TestMaximizeConcave:
         root = rng.normal(size=(k, k))
         a = root @ root.T + np.eye(k)
         b = rng.normal(size=k)
-        result = maximize_concave(
+        result = newton_ascent(
             points(
                 lambda x: float(b @ x - 0.5 * x @ a @ x),
                 lambda x: b - a @ x,
@@ -300,7 +300,7 @@ class TestMaximizeConcave:
                 return -np.eye(k) + np.diag(6 * c[row] * x)
 
             objective = CountingObjective(f, grad, hess)
-            result = maximize_concave(objective.evaluate, np.zeros((3, k)))
+            result = newton_ascent(objective.evaluate, np.zeros((3, k)))
             # the driver reads the gradient at the start and at each accepted iterate
             for row in range(3):
                 trace = [objective.points[i].value for i in objective.gradient_reads
@@ -319,7 +319,7 @@ class TestMaximizeConcave:
             lambda row, x: -x,
             lambda row, x: -(0.25 if row == 0 else 1.0) * np.eye(1),
         )
-        result = maximize_concave(objective.evaluate, np.ones((2, 1)))
+        result = newton_ascent(objective.evaluate, np.ones((2, 1)))
         assert result.status == ["converged", "converged"]
         assert result.iterations.tolist() == [1, 1]
         # one evaluate per point: two starts, then the candidates of each round
@@ -339,7 +339,7 @@ class TestMaximizeConcave:
             lambda row, x: -(0.25 if row == 0 else 1.0) * np.eye(1),
         )
         start = objective.evaluate(np.arange(2), np.ones((2, 1)))
-        result = maximize_concave(objective.evaluate, np.ones((2, 1)), start)
+        result = newton_ascent(objective.evaluate, np.ones((2, 1)), start)
         assert result.status == ["converged", "converged"]
         # the same points as there: the starts once, then the candidates
         assert [(p.row, float(p.x[0])) for p in objective.points] == [
@@ -357,7 +357,7 @@ class TestMaximizeConcave:
             lambda row, x: -np.sinh(x - a),
             lambda row, x: -np.diag(np.cosh(x - a)),
         )
-        result = maximize_concave(objective.evaluate, np.zeros((1, 2)))
+        result = newton_ascent(objective.evaluate, np.zeros((1, 2)))
         assert result.status == ["max_iters"] and result.iterations.tolist() == [3]
         # every full step is accepted: the start and three iterates, no more
         assert len(objective.points) == 4
@@ -374,8 +374,8 @@ class TestMaximizeConcave:
             lambda row, x: a - x,
             lambda row, x: -np.eye(3),
         )
-        result = maximize_concave(objective.evaluate, np.zeros((1, 3)))
-        assert result.status == ["converged"] and result.converged.tolist() == [True]
+        result = newton_ascent(objective.evaluate, np.zeros((1, 3)))
+        assert result.status == ["converged"]
         assert result.iterations.tolist() == [numerics.NEWTON_MAX_ITERS]
         assert result.step_norm.tolist() == [0.0]
         assert objective.gradient_reads == [0, 1]
@@ -391,9 +391,8 @@ class TestMaximizeConcave:
             lambda row, x: np.ones(1) if row == 0 else 1.0 - x,
             lambda row, x: -np.eye(1),
         )
-        result = maximize_concave(objective.evaluate, np.zeros((2, 1)))
+        result = newton_ascent(objective.evaluate, np.zeros((2, 1)))
         assert result.status == ["line_search_failure", "converged"]
-        assert result.converged.tolist() == [False, True]
         # row 0 counts the accepted step and the failed attempt
         assert result.iterations.tolist() == [2, 1]
         np.testing.assert_array_equal(result.x, [[1.0], [1.0]])
@@ -417,8 +416,7 @@ class TestMaximizeConcave:
         def hess(x):
             return -np.diag(np.cosh(x - a))
 
-        result = maximize_concave(points(f, grad, hess), np.zeros((1, 3)))
-        assert result.converged.tolist() == [False]
+        result = newton_ascent(points(f, grad, hess), np.zeros((1, 3)))
         assert result.status == ["max_iters"]
         assert f(result.x[0]) > f(np.zeros(3))
         # the step left at the returned iterate, -hess^-1 grad = tanh(a - x)
@@ -427,7 +425,7 @@ class TestMaximizeConcave:
 
     def test_non_finite_objective_raises(self):
         with pytest.raises(NonFiniteError):
-            maximize_concave(
+            newton_ascent(
                 points(lambda x: float("nan") if x[0] else 0.0, lambda x: -x, lambda x: -np.eye(2)),
                 np.array([[0.0, 0.0], [1.0, 0.0]]),
             )

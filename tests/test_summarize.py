@@ -72,6 +72,23 @@ class TestSummarizeRecord:
         )
         np.testing.assert_allclose(traj.residual, 0.0, atol=1e-9)
 
+    def test_every_phenotype_selected_leaves_no_negative_residual(self):
+        # with all K=50 selected, two of these six bins' saliences sum to a
+        # rounding above 1
+        rng = np.random.default_rng(0)
+        k = 50
+        vocab = Vocabulary("dx", tuple(f"t{i}" for i in range(20)))
+        beta = rng.dirichlet(np.full(20, 0.5), size=k)
+        model = model_from(rng.normal(size=k), np.eye(k), [beta], (vocab,))
+        segments = [
+            segment("p", {int(v): 2 for v in rng.integers(0, 20, size=4)}, f"b{b}")
+            for b in range(6)
+        ]
+        traj = summarize_record(segments, model, top_n=k)
+        assert (1.0 - traj.salience.sum(axis=1) < 0).any()  # the rounding the floor is for
+        assert (traj.residual >= 0).all()
+        np.testing.assert_allclose(traj.residual, 0.0, atol=1e-12)
+
     def test_selected_kept_in_all_bins_even_near_zero(self, block_model):
         segments = [
             segment("p", {4: 12}, "early"),

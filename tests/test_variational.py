@@ -25,10 +25,16 @@ from phenotopics.variational import (
     _laplace_hessian,
     _responsibilities,
     infer_block,
-    infer_document,
 )
 
-from .conftest import crawling_k50_record, k50_params, make_params, random_params, random_record
+from .conftest import (
+    crawling_k50_record,
+    infer_one,
+    k50_params,
+    make_params,
+    random_params,
+    random_record,
+)
 from .oracles import (
     enumeration_posterior_mean_proportions,
     fd_jacobian,
@@ -368,11 +374,11 @@ class TestFactoredPass:
 
 
 class TestUpdateQNu:
-    """The Gaussian q(nu) that infer_document returns."""
+    """The Gaussian q(nu) that inference returns."""
 
     def test_no_data_returns_prior(self, rng):
         params = random_params(rng, 4, [5])
-        post = infer_document(RecordBags("r", ({},)), params, nu_init=rng.normal(size=4))
+        post = infer_one(RecordBags("r", ({},)), params, start=rng.normal(size=4))
         assert post.converged
         np.testing.assert_allclose(post.nu_hat, params.mu0, atol=1e-6)
         np.testing.assert_allclose(post.nu_cov, params.sigma0, atol=1e-6)
@@ -381,7 +387,7 @@ class TestUpdateQNu:
         beta = [[0.97, 0.01, 0.01, 0.01], [0.01, 0.33, 0.33, 0.33]]
         params = make_params([0.0, 0.0], np.eye(2), [beta])
         record = RecordBags("r", ({0: 10},))
-        post = infer_document(record, params)
+        post = infer_one(record, params)
         assert post.converged
         assert post.nu_hat[0] > post.nu_hat[1]
         assert np.abs(at(ModeObjective([record], params), post.nu_hat).gradient()).max() <= 1e-6
@@ -391,13 +397,13 @@ class TestUpdateQNu:
         # model and the record onto themselves
         beta = [[0.7, 0.2, 0.1], [0.2, 0.7, 0.1], [0.1, 0.1, 0.8]]
         params = make_params(np.zeros(3), np.eye(3), [beta])
-        post = infer_document(RecordBags("r", ({0: 3, 1: 3},)), params)
+        post = infer_one(RecordBags("r", ({0: 3, 1: 3},)), params)
         assert post.nu_hat[0] == pytest.approx(post.nu_hat[1], abs=1e-10)
         assert post.nu_hat[0] > post.nu_hat[2]
 
     def test_covariance_is_inverse_negated_hessian(self, rng):
         params = random_params(rng, 3, [6])
-        post = infer_document(random_record(rng, params, [12]), params)
+        post = infer_one(random_record(rng, params, [12]), params)
         np.testing.assert_allclose(
             post.nu_cov @ laplace_precision(post, params), np.eye(3), atol=1e-8
         )
@@ -435,7 +441,7 @@ class TestUpdateQZ:
     def test_out_of_range_token_raises(self):
         params = make_params([0.0, 0.0], np.eye(2), [np.full((2, 3), 1 / 3)])
         with pytest.raises(ValueError, match="out of range"):
-            infer_document(RecordBags("r", ({7: 1},)), params)
+            infer_one(RecordBags("r", ({7: 1},)), params)
 
     def test_responsibilities_sum_to_one_and_conserve_counts(self, rng):
         for _ in range(10):
@@ -451,7 +457,7 @@ class TestUpdateQZ:
 class TestInferDocument:
     def test_empty_record_returns_prior(self, rng):
         params = random_params(rng, 3, [4, 4])
-        post = infer_document(RecordBags("r", ({}, {})), params)
+        post = infer_one(RecordBags("r", ({}, {})), params)
         assert post.converged
         np.testing.assert_allclose(post.proportions, softmax(params.mu0), atol=1e-9)
         np.testing.assert_allclose(post.nu_cov, params.sigma0, atol=1e-9)
@@ -463,7 +469,7 @@ class TestInferDocument:
         sigma0 = 4.0 * np.eye(2)
         params = make_params([0.0, 0.0], sigma0, [beta])
         record = RecordBags("r", ({0: 8},))
-        post = infer_document(record, params)
+        post = infer_one(record, params)
         assert post.proportions[0] > 0.9
         oracle = enumeration_posterior_mean_proportions([0] * 8, beta,
                                                         np.zeros(2), sigma0)
@@ -476,8 +482,8 @@ class TestInferDocument:
             params.mu0, params.sigma0, [params.log_beta[1], params.log_beta[0]]
         )
         record = random_record(rng, params, [9, 5])
-        post = infer_document(record, params)
-        post_swapped = infer_document(
+        post = infer_one(record, params)
+        post_swapped = infer_one(
             RecordBags(record.record_id, (record.bags[1], record.bags[0])),
             swapped,
         )
@@ -487,8 +493,8 @@ class TestInferDocument:
     def test_deterministic_bitwise(self, rng):
         params = random_params(rng, 4, [7])
         record = random_record(rng, params, [11])
-        a = infer_document(record, params)
-        b = infer_document(record, params)
+        a = infer_one(record, params)
+        b = infer_one(record, params)
         np.testing.assert_array_equal(a.nu_hat, b.nu_hat)
         np.testing.assert_array_equal(a.nu_cov, b.nu_cov)
         np.testing.assert_array_equal(a.expected_counts, b.expected_counts)
@@ -498,14 +504,14 @@ class TestInferDocument:
         params = make_params([0.0, 0.0], np.eye(2), [beta])
         previous = -np.inf
         for count in (1, 2, 4, 8):
-            post = infer_document(RecordBags("r", ({0: count},)), params)
+            post = infer_one(RecordBags("r", ({0: count},)), params)
             assert post.proportions[0] > previous
             previous = post.proportions[0]
 
     def test_expected_counts_conserve_totals(self, rng):
         params = random_params(rng, 4, [9, 6])
         record = random_record(rng, params, [20, 3])
-        post = infer_document(record, params)
+        post = infer_one(record, params)
         for m, bag in enumerate(record.bags):
             assert abs(post.expected_counts[m].sum() - sum(bag.values())) <= 1e-9
 
@@ -518,7 +524,7 @@ class TestInferDocument:
             k = int(rng.integers(2, 9))
             params = random_params(rng, k, [10, 7])
             record = random_record(rng, params, [int(rng.integers(0, 80)), 9])
-            post = infer_document(record, params)
+            post = infer_one(record, params)
             assert post.converged
             gradient = at(ModeObjective([record], params), post.nu_hat).gradient()
             assert np.abs(gradient).max() <= 1e-6
@@ -537,7 +543,7 @@ class TestInferDocument:
         params = make_params(np.zeros(3), np.eye(3), [beta])
         bag = {v: int(c) * 10**6 for v, c in enumerate(rng.integers(1, 10, size=8))}
         record = RecordBags("r", (bag,))
-        post = infer_document(record, params)
+        post = infer_one(record, params)
         assert np.abs(at(ModeObjective([record], params), post.nu_hat).gradient()).max() > 1e-6
         assert post.converged
 
@@ -545,7 +551,7 @@ class TestInferDocument:
         monkeypatch.setattr(numerics, "NEWTON_MAX_ITERS", 1)
         beta = np.array([[0.96, 0.02, 0.02], [0.02, 0.02, 0.96]])
         params = make_params([0.0, 0.0], 4.0 * np.eye(2), [beta])
-        post = infer_document(RecordBags("r", ({0: 40},)), params, nu_init=np.array([-5.0, 5.0]))
+        post = infer_one(RecordBags("r", ({0: 40},)), params, start=np.array([-5.0, 5.0]))
         assert post.iterations == 1
         assert not post.converged
 
@@ -553,7 +559,7 @@ class TestInferDocument:
 class TestElbo:
     def test_empty_record_is_zero(self, rng):
         params = random_params(rng, 3, [4])
-        post = infer_document(RecordBags("r", ({},)), params)
+        post = infer_one(RecordBags("r", ({},)), params)
         assert post.elbo == pytest.approx(0.0, abs=1e-9)
 
     def test_matches_term_by_term_expansion(self, rng):
@@ -562,7 +568,7 @@ class TestElbo:
             for _ in range(10):
                 params = random_params(rng, k, [9, 5, 3])
                 record = random_record(rng, params, [int(n) for n in rng.integers(0, 40, 3)])
-                post = infer_document(record, params, nu_init=rng.normal(size=k))
+                post = infer_one(record, params, start=rng.normal(size=k))
                 reference = term_by_term_elbo(record, post, params)
                 worst = max(worst, abs(post.elbo - reference) / max(1.0, abs(reference)))
         assert worst <= 1e-12
@@ -571,7 +577,7 @@ class TestElbo:
         beta = np.array([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]])
         params = make_params([0.0, 0.0], np.eye(2), [beta])
         record = RecordBags("r", ({0: 1, 1: 1, 2: 1},))
-        post = infer_document(record, params)
+        post = infer_one(record, params)
         bound = post.elbo
         loglik, se = mc_log_likelihood([record.bags[0]], [beta], np.zeros(2), np.eye(2))
         assert bound <= loglik + 3 * se
@@ -582,21 +588,21 @@ class TestDocPosteriorInvariants:
         for _ in range(10):
             params = random_params(rng, 4, [8])
             record = random_record(rng, params, [15])
-            post = infer_document(record, params)
+            post = infer_one(record, params)
             np.testing.assert_allclose(post.nu_cov, post.nu_cov.T, atol=1e-12)
             np.linalg.cholesky(post.nu_cov)
 
     def test_proportions_are_softmax_of_mode(self, rng):
         params = random_params(rng, 5, [6])
         record = random_record(rng, params, [10])
-        post = infer_document(record, params)
+        post = infer_one(record, params)
         np.testing.assert_array_equal(post.proportions, softmax(post.nu_hat))
 
     def test_size_does_not_grow_with_record_length(self, rng):
         params = random_params(rng, 4, [2000])
         sizes = []
         for n_tokens in (10, 1000):
-            post = infer_document(random_record(rng, params, [n_tokens]), params)
+            post = infer_one(random_record(rng, params, [n_tokens]), params)
             sizes.append(sum(v.nbytes for v in vars(post).values() if isinstance(v, np.ndarray)))
         assert sizes[0] == sizes[1]
 
@@ -647,13 +653,13 @@ class TestBlock:
         # so that under a budget of three iterations they stop by their own
         # rule while "far" runs out of iterations
         for name in ("float-floor", "o0", "o1", "o2"):
-            starts[name] = infer_document(records[name], params, starts[name]).nu_hat
+            starts[name] = infer_one(records[name], params, starts[name]).nu_hat
         monkeypatch.setattr(numerics, "NEWTON_MAX_ITERS", 3)
         names = list(records)
         block = ModeObjective([records[name] for name in names], params)
-        together = numerics.maximize_concave(block.evaluate, [starts[name] for name in names])
+        together = numerics.newton_ascent(block.evaluate, [starts[name] for name in names])
         lone = {
-            name: numerics.maximize_concave(
+            name: numerics.newton_ascent(
                 ModeObjective([records[name]], params).evaluate, [starts[name]]
             )
             for name in names
@@ -673,7 +679,7 @@ class TestBlock:
         posteriors, _ = infer_block([records[name] for name in names], params,
                                     [starts[name] for name in names])
         for post, name in zip(posteriors, names):
-            alone = infer_document(records[name], params, starts[name])
+            alone = infer_one(records[name], params, starts[name])
             assert post.converged == alone.converged
             assert np.abs(post.nu_hat - alone.nu_hat).max() <= 1e-6
 
